@@ -1,110 +1,27 @@
 """Normalizer, linter and auto-fixer for Tunisian Arabic in Arabic script."""
 
 from .config import Config, ConfigError, load_config
-from .corpus import CorpusReport, collect_stats, report_to_json
-from .graphemes import (
-    DuplicateVowelError,
-    Grapheme,
-    GraphemeError,
-    LeadingDiacriticError,
-    UnsupportedCharacterError,
-    VowelWithSukunError,
-    parse_graphemes,
-    render_graphemes,
-)
-from .lexicon import (
-    DuplicateEntryError,
-    InvalidScriptError,
-    Lexicon,
-    LexiconError,
-    LexiconParseError,
-    VerbEntry,
-    default_lexicon,
-    load_lexicon,
-    load_lexicon_from_paths,
-)
-from .pipeline import (
-    FixEvent,
-    Mode,
-    PassCapExceededError,
-    RunResult,
-    normalize,
-    normalize_equals_on_bare,
-)
-from .romanize import MissingDiacriticsError, NotAWordError, romanize, romanize_segments
-from .rules import (
-    Diagnostic,
-    NotSecondPersonError,
-    RULE_PRIORITY,
-    Severity,
-    derive_imperative,
-    run_rules,
-)
-from .script import CharClass, Vowel, canonicalize, classify, strip_diacritics
-from .tokenize import Token, TokenKind, tokenize
-from .translit import (
-    EmptyInputError,
-    PhonemicWord,
-    UnknownPhonemeError,
-    assimilate_vowel,
-    parse_phonemic_line,
-    transliterate_loanword,
-)
+from .corpus import collect_stats, report_to_json
+from .lexicon import Lexicon, LexiconError, default_lexicon
+from .pipeline import FixEvent, Mode, PassCapExceededError, RunResult, normalize
+from .rules import Diagnostic, Severity
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharClass",
     "Config",
     "ConfigError",
-    "CorpusReport",
     "Diagnostic",
-    "DuplicateEntryError",
-    "DuplicateVowelError",
-    "EmptyInputError",
     "FixEvent",
-    "Grapheme",
-    "GraphemeError",
-    "InvalidScriptError",
-    "LeadingDiacriticError",
     "Lexicon",
     "LexiconError",
-    "LexiconParseError",
-    "MissingDiacriticsError",
     "Mode",
-    "NotAWordError",
-    "NotSecondPersonError",
     "PassCapExceededError",
-    "PhonemicWord",
-    "RULE_PRIORITY",
     "RunResult",
     "Severity",
-    "Token",
-    "TokenKind",
-    "UnknownPhonemeError",
-    "UnsupportedCharacterError",
-    "VerbEntry",
-    "Vowel",
-    "VowelWithSukunError",
-    "assimilate_vowel",
-    "canonicalize",
-    "classify",
     "collect_stats",
     "default_lexicon",
-    "derive_imperative",
     "load_config",
-    "load_lexicon",
-    "load_lexicon_from_paths",
     "normalize",
-    "normalize_equals_on_bare",
-    "parse_graphemes",
-    "parse_phonemic_line",
-    "render_graphemes",
     "report_to_json",
-    "romanize",
-    "romanize_segments",
-    "run_rules",
-    "strip_diacritics",
-    "tokenize",
-    "transliterate_loanword",
 ]

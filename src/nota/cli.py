@@ -39,12 +39,13 @@ class CliError(Exception):
 
 
 def _read_input(name: str) -> tuple[str, str]:
-    if name == "-":
-        return "<stdin>", sys.stdin.read()
+    """Read a file, or standard input for ``-``, as strict UTF-8."""
+    display = "<stdin>" if name == "-" else name
     try:
-        return name, Path(name).read_text(encoding="utf-8")
+        data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
+        return display, data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {name}: {exc}") from exc
+        raise CliError(f"cannot read {display}: {exc}") from exc
 
 
 def _load_setup(args: argparse.Namespace) -> tuple[Lexicon, Config]:
@@ -74,14 +75,15 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     else:
         mode = Mode.CHECK
 
-    names = args.files or ["-"]
+    # Read every input first, so an unreadable file stops the run before
+    # any output is written.
+    inputs = [_read_input(name) for name in args.files or ["-"]]
     any_changed = False
     any_hard = False  # Error/Warning
     any_diag = False
     json_rows: list[dict[str, object]] = []
 
-    for name in names:
-        display, text = _read_input(name)
+    for display, text in inputs:
         result = normalize(text, lex, config, mode)
         any_diag = any_diag or bool(result.diagnostics)
         any_hard = any_hard or any(
@@ -133,8 +135,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     payload = report_to_json(report)
     if args.out == "-":
         sys.stdout.write(payload)
-    else:
+        return 0
+    try:
         Path(args.out).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 

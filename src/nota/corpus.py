@@ -14,9 +14,13 @@ from pathlib import Path
 
 from .config import Config, DEFAULT_CONFIG
 from .lexicon import Lexicon
-from .rules import run_rules
-from .script import canonicalize
-from .tokenize import TokenKind, tokenize
+from .pipeline import _lint
+from .tokenize import TokenKind
+
+# Unused here, but bench/tracer.py rebinds these names on this module.
+from .rules import run_rules  # noqa: F401
+from .script import canonicalize  # noqa: F401
+from .tokenize import tokenize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,7 @@ class CorpusReport:
 
 
 def file_stats(name: str, text: str, lex: Lexicon, config: Config) -> FileStats:
-    canon = canonicalize(text)
-    tokens = tokenize(canon.text)
-    diagnostics = run_rules(
-        tokens, lex, enabled=config.rules, fused_prepositions=config.fused_prepositions
-    )
+    _, tokens, diagnostics = _lint(text, lex, config)
     words = [t for t in tokens if t.kind is TokenKind.WORD]
     per_rule: dict[str, int] = {}
     for d in diagnostics:

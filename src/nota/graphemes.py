@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 from .script import (
     LETTER_SET,
+    NOTA_MARKS,
     SHADDA,
     SUKUN,
     VOWEL_OF_MARK,
-    CharClass,
     Vowel,
-    classify,
+    iter_clusters,
 )
 
 
@@ -53,51 +53,46 @@ class Grapheme:
     vowel: Vowel | None = None
 
 
+_LEADING_NAMES = {SHADDA: "shadda", SUKUN: "sukun"}  # the rest are vowel marks
+
+
 def parse_graphemes(word: str) -> tuple[Grapheme, ...]:
     """Parse a word into graphemes, attaching marks to the preceding base.
 
     Raises LeadingDiacriticError, DuplicateVowelError or
     VowelWithSukunError for the three structural faults, and
-    UnsupportedCharacterError for anything outside the inventory.
+    UnsupportedCharacterError for anything outside the inventory; the
+    error's position is the first offending index.
     """
     out: list[Grapheme] = []
-    base: str | None = None
-    shadda = False
-    sukun = False
-    vowel: Vowel | None = None
-
-    def push() -> None:
-        nonlocal base, shadda, sukun, vowel
+    for cluster in iter_clusters(word):
+        base = cluster.base
+        if base is not None and base not in LETTER_SET:
+            raise UnsupportedCharacterError(
+                f"character {base!r} outside the inventory", cluster.start
+            )
+        shadda = sukun = False
+        vowel: Vowel | None = None
+        for i, ch in enumerate(cluster.marks, start=cluster.end - len(cluster.marks)):
+            if ch not in NOTA_MARKS:
+                raise UnsupportedCharacterError(f"character {ch!r} outside the inventory", i)
+            if base is None:
+                name = _LEADING_NAMES.get(ch, "vowel mark")
+                raise LeadingDiacriticError(f"{name} with no base letter", i)
+            if ch == SHADDA:
+                shadda = True
+            elif ch == SUKUN:
+                if vowel is not None:
+                    raise VowelWithSukunError("sukun on a voweled letter", i)
+                sukun = True
+            else:
+                if vowel is not None:
+                    raise DuplicateVowelError("second vowel mark on one letter", i)
+                if sukun:
+                    raise VowelWithSukunError("vowel mark on a sukun letter", i)
+                vowel = VOWEL_OF_MARK[ch]
         if base is not None:
             out.append(Grapheme(base, shadda=shadda, sukun=sukun, vowel=vowel))
-        base, shadda, sukun, vowel = None, False, False, None
-
-    for i, ch in enumerate(word):
-        cls = classify(ch)
-        if cls is CharClass.LETTER:
-            push()
-            base = ch
-        elif cls is CharClass.VOWEL:
-            if base is None:
-                raise LeadingDiacriticError("vowel mark with no base letter", i)
-            if vowel is not None:
-                raise DuplicateVowelError("second vowel mark on one letter", i)
-            if sukun:
-                raise VowelWithSukunError("vowel mark on a sukun letter", i)
-            vowel = VOWEL_OF_MARK[ch]
-        elif cls is CharClass.SHADDA:
-            if base is None:
-                raise LeadingDiacriticError("shadda with no base letter", i)
-            shadda = True
-        elif cls is CharClass.SUKUN:
-            if base is None:
-                raise LeadingDiacriticError("sukun with no base letter", i)
-            if vowel is not None:
-                raise VowelWithSukunError("sukun on a voweled letter", i)
-            sukun = True
-        else:
-            raise UnsupportedCharacterError(f"character {ch!r} outside the inventory", i)
-    push()
     return tuple(out)
 
 

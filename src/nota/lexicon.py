@@ -15,7 +15,7 @@ safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -74,7 +74,6 @@ class Lexicon:
     gaf_words: Mapping[str, str]
 
     # Derived indexes, built once at construction.
-    _surface: dict[str, VerbEntry] = field(default_factory=dict, repr=False)
     _citation_folded: dict[str, VerbEntry] = field(default_factory=dict, repr=False)
     _present_stems: frozenset[str] = field(default=frozenset(), repr=False)
     _present_forms: frozenset[str] = field(default=frozenset(), repr=False)
@@ -82,21 +81,11 @@ class Lexicon:
     _known_folded: dict[str, str] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        surface: dict[str, VerbEntry] = {}
         folded: dict[str, VerbEntry] = {}
         stems: set[str] = set()
         presents: set[str] = set()
         irregulars: dict[str, VerbEntry] = {}
         for entry in self.verbs.values():
-            for form in (
-                entry.citation,
-                entry.present_3sg,
-                entry.present_2sg,
-                entry.irregular_imperative,
-            ):
-                if form:
-                    surface.setdefault(form, entry)
-                    surface.setdefault(fold_final_alef(form), entry)
             folded.setdefault(fold_final_alef(entry.citation), entry)
             presents.add(entry.present_3sg)
             if entry.present_3sg.startswith(_IMPERFECTIVE_PREFIXES):
@@ -110,7 +99,6 @@ class Lexicon:
         known_folded = {}
         for w in sorted(self.known_words):
             known_folded.setdefault(fold_final_alef(w), w)
-        object.__setattr__(self, "_surface", surface)
         object.__setattr__(self, "_citation_folded", folded)
         object.__setattr__(self, "_present_stems", frozenset(stems))
         object.__setattr__(self, "_present_forms", frozenset(presents))
@@ -118,11 +106,6 @@ class Lexicon:
         object.__setattr__(self, "_known_folded", known_folded)
 
     # --- queries (all take surface words, diacritics tolerated) ---------
-
-    def lookup_surface(self, word: str) -> VerbEntry | None:
-        """Find a verb entry by any of its listed forms."""
-        bare = strip_diacritics(word)
-        return self._surface.get(bare) or self._surface.get(fold_final_alef(bare))
 
     def lookup_citation_folded(self, word: str) -> VerbEntry | None:
         return self._citation_folded.get(fold_final_alef(strip_diacritics(word)))
@@ -298,35 +281,25 @@ def resolve_lexicon_paths(paths: Iterable[Path]) -> dict[str, Path]:
     return role_paths
 
 
-def load_lexicon_from_paths(role_paths: Mapping[str, Path]) -> Lexicon:
-    sources = {}
-    for role, path in role_paths.items():
-        try:
-            sources[role] = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise LexiconError(f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise LexiconError(f"{path} is not valid UTF-8: {exc}") from exc
-    return load_lexicon(sources)
+def _read_lines(source: Path | resources.abc.Traversable) -> list[str]:
+    """The lines of one role file, on disk or packaged."""
+    try:
+        return source.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise LexiconError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
 def default_lexicon(overrides: Mapping[str, Path] | None = None,
                     variant_map: Mapping[str, str] | None = None) -> Lexicon:
     """The packaged default resources, with optional per-role path overrides."""
-    sources: dict[str, Iterable[str]] = {}
     data = resources.files("nota").joinpath("data")
-    for role in ROLES:
-        if overrides and role in overrides:
-            sources[role] = Path(overrides[role]).read_text(encoding="utf-8").splitlines()
-        else:
-            sources[role] = data.joinpath(f"{role}.tsv").read_text(encoding="utf-8").splitlines()
-    lex = load_lexicon(sources)
+    overrides = overrides or {}
+    lex = load_lexicon({
+        role: _read_lines(Path(overrides[role]) if role in overrides else data / f"{role}.tsv")
+        for role in ROLES
+    })
     if variant_map is not None:
-        lex = Lexicon(
-            verbs=lex.verbs,
-            prepositions=lex.prepositions,
-            known_words=lex.known_words,
-            variant_map=dict(variant_map),
-            gaf_words=lex.gaf_words,
-        )
+        lex = replace(lex, variant_map=dict(variant_map))
     return lex

@@ -15,8 +15,8 @@ from enum import Enum, auto
 from .config import Config, ConfigError, DEFAULT_CONFIG
 from .lexicon import Lexicon
 from .rules import Diagnostic, RULE_PRIORITY, Severity, run_rules
-from .script import canonicalize, strip_diacritics
-from .tokenize import tokenize
+from .script import Canonical, canonicalize
+from .tokenize import Token, tokenize
 
 
 class Mode(Enum):
@@ -70,6 +70,28 @@ def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
     return chosen
 
 
+def _lint_canonical(
+    text: str, lex: Lexicon, config: Config
+) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokenize already canonical text and run the enabled rules over it."""
+    tokens = tokenize(text)
+    return tokens, run_rules(
+        tokens, lex, enabled=config.rules, fused_prepositions=config.fused_prepositions
+    )
+
+
+def _lint(
+    text: str, lex: Lexicon, config: Config
+) -> tuple[Canonical, list[Token], list[Diagnostic]]:
+    """The lint core: validate the setup, canonicalize, tokenize, run the rules.
+
+    Token and diagnostic spans point into ``canon.text``.
+    """
+    validate_setup(lex, config)
+    canon = canonicalize(text)
+    return (canon, *_lint_canonical(canon.text, lex, config))
+
+
 def normalize(
     text: str,
     lex: Lexicon,
@@ -77,18 +99,7 @@ def normalize(
     mode: Mode = Mode.CHECK,
 ) -> RunResult:
     """Run the full pipeline over one document."""
-    validate_setup(lex, config)
-    canon = canonicalize(text)
-
-    def diagnostics_for(current: str) -> list[Diagnostic]:
-        return run_rules(
-            tokenize(current),
-            lex,
-            enabled=config.rules,
-            fused_prepositions=config.fused_prepositions,
-        )
-
-    first_pass = diagnostics_for(canon.text)
+    canon, _, first_pass = _lint(text, lex, config)
     reported = []
     for d in first_pass:
         start, end = canon.to_original(d.start, d.end)
@@ -115,7 +126,7 @@ def normalize(
         for d in sorted(chosen, key=lambda d: d.start, reverse=True):
             current = current[: d.start] + (d.replacement or "") + current[d.end :]
             fixes.append(FixEvent(d.rule, passes, d.start, d.end, d.replacement or ""))
-        diags = diagnostics_for(current)
+        _, diags = _lint_canonical(current, lex, config)
 
     return RunResult(
         output=current,
@@ -123,20 +134,3 @@ def normalize(
         fixes=tuple(fixes),
         passes_used=passes,
     )
-
-
-# Rules that target diacritics themselves; excluded when comparing
-# fix results across the diacritized/undiacritized modes.
-_DIACRITIC_RULES = ("R-VOW", "R-ART")
-
-
-def normalize_equals_on_bare(text: str, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> bool:
-    """Do fixes commute with diacritic stripping (diacritic rules aside)?"""
-    reduced = replace(
-        config,
-        rules={**{rid: config.rule_enabled(rid) for rid in RULE_PRIORITY},
-               **{rid: False for rid in _DIACRITIC_RULES}},
-    )
-    fixed_then_bare = strip_diacritics(normalize(text, lex, reduced, Mode.FIX).output)
-    bare_then_fixed = normalize(strip_diacritics(text), lex, reduced, Mode.FIX).output
-    return fixed_then_bare == bare_then_fixed

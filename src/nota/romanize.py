@@ -12,20 +12,18 @@ merged ض/ظ share one label.
 
 from __future__ import annotations
 
+from .graphemes import Grapheme, GraphemeError, parse_graphemes
 from .script import (
     ALEF,
     ALEF_MADDA,
     ALEF_MAQSURA,
     HAMZA_LETTERS,
     LETTERS,
-    NOTA_MARKS,
     TEH_MARBUTA,
     WAW,
     YEH,
     Vowel,
     canonicalize,
-    iter_clusters,
-    strip_diacritics,
 )
 from .tokenize import TokenKind, tokenize
 
@@ -59,33 +57,27 @@ class MissingDiacriticsError(RomanizeError):
     pass
 
 
-def _check_word(word: str) -> str:
+def _check_word(word: str) -> tuple[Grapheme, ...]:
     canon = canonicalize(word).text
     tokens = tokenize(canon)
     if len(tokens) != 1 or tokens[0].kind is not TokenKind.WORD:
         raise NotAWordError(f"not a single word: {word!r}")
-    for cluster in iter_clusters(canon):
-        if cluster.base is not None and cluster.base not in LETTERS:
-            raise NotAWordError(f"character {cluster.base!r} outside the inventory")
-        for mark in cluster.marks:
-            if mark not in NOTA_MARKS:
-                raise NotAWordError(f"mark U+{ord(mark):04X} outside the inventory")
-    return canon
+    try:
+        return parse_graphemes(canon)
+    except GraphemeError as exc:
+        raise NotAWordError(str(exc)) from exc
 
 
-def _romanize_diacritized(word: str) -> list[str]:
-    clusters = iter_clusters(word)
+def _romanize_diacritized(graphemes: tuple[Grapheme, ...]) -> list[str]:
     segments: list[str] = []
     prev_vowel: Vowel | None = None
-    for idx, cluster in enumerate(clusters):
-        base = cluster.base
-        if base is None:
-            raise NotAWordError("leading diacritic")
-        is_last = idx == len(clusters) - 1
+    for idx, g in enumerate(graphemes):
+        base = g.base
+        is_last = idx == len(graphemes) - 1
 
-        # Mater lectionis: a bare vowel letter lengthening the previous vowel.
+        # Mater lectionis: an unmarked vowel letter lengthening the previous vowel.
         if (
-            not cluster.marks
+            g == Grapheme(base)
             and prev_vowel is not None
             and base in _MATER_OF
             and prev_vowel in _MATER_OF[base]
@@ -106,28 +98,25 @@ def _romanize_diacritized(word: str) -> list[str]:
         else:
             label = LETTERS[base].ipa
         segments.append(label)
-        if cluster.has_shadda:
+        if g.shadda:
             segments.append(label)
-        if cluster.vowel is not None:
-            segments.append(VOWEL_IPA[cluster.vowel])
-            prev_vowel = cluster.vowel
+        if g.vowel is not None:
+            segments.append(VOWEL_IPA[g.vowel])
+            prev_vowel = g.vowel
             continue
         prev_vowel = None
-        if cluster.has_sukun or is_last or base in _SELF_VOWELED:
+        if g.sukun or is_last or base in _SELF_VOWELED:
             continue
         raise MissingDiacriticsError(f"bare consonant {base!r} in diacritized mode")
     return segments
 
 
-def _romanize_bare(word: str) -> list[str]:
-    clusters = iter_clusters(strip_diacritics(word))
+def _romanize_bare(graphemes: tuple[Grapheme, ...]) -> list[str]:
     segments: list[str] = []
-    for idx, cluster in enumerate(clusters):
-        base = cluster.base
-        if base is None:
-            raise NotAWordError("stray diacritic")
+    for idx, g in enumerate(graphemes):
+        base = g.base  # the marks are ignored
         is_first = idx == 0
-        is_last = idx == len(clusters) - 1
+        is_last = idx == len(graphemes) - 1
         if base == TEH_MARBUTA and is_last:
             segments.append("a")
         elif base in HAMZA_LETTERS or base == ALEF_MADDA:
@@ -144,11 +133,11 @@ def _romanize_bare(word: str) -> list[str]:
 
 def romanize_segments(word: str, mode: str = "diacritized") -> tuple[str, ...]:
     """Transcribe one word; returns the phoneme segments."""
-    canon = _check_word(word)
+    graphemes = _check_word(word)
     if mode == "diacritized":
-        return tuple(_romanize_diacritized(canon))
+        return tuple(_romanize_diacritized(graphemes))
     if mode == "bare":
-        return tuple(_romanize_bare(canon))
+        return tuple(_romanize_bare(graphemes))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -59,7 +59,6 @@ PEH = "پ"           # پ  /p/
 VEH = "ڤ"           # ڤ  /v/
 GAF = "ڨ"           # ڨ  /g/
 
-SUPPLEMENTAL_LETTERS = frozenset({PEH, VEH, GAF})
 HAMZA_LETTERS = frozenset("ءأؤإئ")  # ء أ ؤ إ ئ
 
 
@@ -295,31 +294,15 @@ def canonicalize(text: str) -> Canonical:
 class Cluster:
     """A base character with its trailing marks, by offsets into the word.
 
-    Tolerant counterpart of the strict grapheme parser: never raises, so
-    the rules can inspect arbitrary word tokens.  ``base`` is None for a
-    run of marks with no preceding base character.
+    Never raises, so the rules can inspect arbitrary word tokens; the
+    strict grapheme parser validates on top of it.  ``base`` is None for
+    a run of marks with no preceding base character.
     """
 
     start: int
     end: int
     base: str | None
     marks: str
-
-    @property
-    def vowel(self) -> Vowel | None:
-        for m in self.marks:
-            v = VOWEL_OF_MARK.get(m)
-            if v is not None:
-                return v
-        return None
-
-    @property
-    def has_shadda(self) -> bool:
-        return SHADDA in self.marks
-
-    @property
-    def has_sukun(self) -> bool:
-        return SUKUN in self.marks
 
 
 def iter_clusters(word: str) -> list[Cluster]:

@@ -54,7 +54,3 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, text[i:j], i, j))
         i = j
     return tokens
-
-
-def word_tokens(tokens: list[Token]) -> list[Token]:
-    return [t for t in tokens if t.kind is TokenKind.WORD]

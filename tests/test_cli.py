@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
+
+import pytest
 
 from nota.cli import main
 
@@ -39,10 +43,12 @@ def test_check_reports_diagnostics(tmp_path, capsys):
     assert code == 1
 
 
-def test_stdin_dash(monkeypatch, capsys):
-    import io, sys
+def _stdin_bytes(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(DIRTY))
+
+def test_stdin_dash(monkeypatch, capsys):
+    _stdin_bytes(monkeypatch, DIRTY.encode("utf-8"))
     code, out, _ = run(capsys, "normalize", "--fix", "-")
     assert out == CLEAN
     assert code == 1
@@ -170,3 +176,64 @@ def test_lexicon_override_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "normalize", "--fix", "--lexicon", str(known), str(src))
     assert out == "و سبس"
     assert code == 1
+
+
+def _file(path, data: bytes):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return str(path)
+
+
+def _no_prepositions(tmp):
+    return _file(tmp / "lex" / "prepositions.tsv", b"# none\n")
+
+
+def _corpus(tmp):
+    _file(tmp / "corpus" / "a.txt", CLEAN.encode())
+    return str(tmp / "corpus")
+
+
+# One row per failure class: (stdin bytes, argv built under tmp_path).
+FAILURES = {
+    "missing --lexicon file": (None, lambda tmp: [
+        "normalize", "--lexicon", str(tmp / "missing" / "verbs.tsv"),
+        _file(tmp / "in.txt", CLEAN.encode()),
+    ]),
+    "non-UTF-8 --lexicon file": (None, lambda tmp: [
+        "normalize", "--lexicon", _file(tmp / "verbs.tsv", b"\xff\xfe\n"),
+        _file(tmp / "in.txt", CLEAN.encode()),
+    ]),
+    "missing lexicon path in --config": (None, lambda tmp: [
+        "normalize", "--config", _file(tmp / "cfg.json", b'{"lexicon": {"verbs": "nope.tsv"}}'),
+        _file(tmp / "in.txt", CLEAN.encode()),
+    ]),
+    "lexicon validate non-UTF-8": (None, lambda tmp: [
+        "lexicon", "validate", _file(tmp / "known_words.tsv", b"\xc3\x28\n"),
+    ]),
+    "R-SEP without prepositions, normalize": (None, lambda tmp: [
+        "normalize", "--lexicon", _no_prepositions(tmp), _file(tmp / "in.txt", CLEAN.encode()),
+    ]),
+    "R-SEP without prepositions, stats": (None, lambda tmp: [
+        "stats", _corpus(tmp), "--lexicon", _no_prepositions(tmp),
+    ]),
+    "unwritable --out": (None, lambda tmp: [
+        "stats", _corpus(tmp), "--out", str(tmp / "no" / "such" / "dir" / "r.json"),
+    ]),
+    "invalid UTF-8 on stdin": (b"\xd8\xa8\xff\xfe", lambda tmp: ["normalize", "--fix", "-"]),
+    "unreadable second file under --fix": (None, lambda tmp: [
+        "normalize", "--fix", _file(tmp / "a.txt", DIRTY.encode()), str(tmp / "missing.txt"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failure_exits_2_with_one_error_line(case, tmp_path, monkeypatch, capsys):
+    stdin, build_argv = FAILURES[case]
+    argv = build_argv(tmp_path)
+    if stdin is not None:
+        _stdin_bytes(monkeypatch, stdin)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("nota: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""

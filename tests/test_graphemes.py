@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphemes_oracle
 from nota.graphemes import (
     DuplicateVowelError,
     Grapheme,
+    GraphemeError,
     LeadingDiacriticError,
     UnsupportedCharacterError,
     VowelWithSukunError,
@@ -107,3 +111,27 @@ def test_render_of_parse_is_canonical_normalization(gs):
     canonical = render_graphemes(parsed)
     assert parse_graphemes(canonical) == parsed
     assert render_graphemes(parse_graphemes(canonical)) == canonical
+
+
+# Base letters, the six inventory marks, two Arabic marks outside it
+# (tanwin, madda above), and four non-inventory characters: a Latin
+# letter, a space, a Latin combining accent and tatweel.
+ORACLE_ALPHABET = "بال" + "َِٙ" + "ُّْ" + "ًٓ" + "x \u0301ـ"
+
+
+def _outcome(parse, word):
+    try:
+        return parse(word)
+    except GraphemeError as exc:
+        return (type(exc), str(exc), exc.position)
+
+
+def test_parser_matches_oracle_exhaustively():
+    assert len(set(ORACLE_ALPHABET)) == len(ORACLE_ALPHABET) == 15
+    inputs = [chr(cp) for cp in range(0x10000)]
+    for n in range(5):
+        inputs.extend("".join(chars) for chars in product(ORACLE_ALPHABET, repeat=n))
+    for word in inputs:
+        assert _outcome(parse_graphemes, word) == _outcome(
+            graphemes_oracle.parse_graphemes, word
+        ), ascii(word)

@@ -91,12 +91,6 @@ def test_loading_is_deterministic():
     assert default_lexicon() == default_lexicon()
 
 
-def test_lookup_by_surface(lex):
-    assert lex.lookup_surface("يمشي").citation == "مشى"
-    assert lex.lookup_surface("سبسبس") is None
-    assert lex.lookup_surface("تاكل").citation == "كلى"
-
-
 def test_fold_final_alef():
     assert fold_final_alef("مشى") == "مشا"
     assert fold_final_alef("مشا") == "مشا"

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import lexicon_word_pool, random_text
-from nota import Config, ConfigError, Mode, normalize, normalize_equals_on_bare
-from nota.lexicon import load_lexicon
+from nota import Config, ConfigError, Mode, normalize
+from nota.config import DEFAULT_CONFIG
+from nota.lexicon import Lexicon, load_lexicon
 from nota.pipeline import PassCapExceededError
-from nota.rules import Severity
+from nota.rules import RULE_PRIORITY, Severity
+from nota.script import strip_diacritics
 from nota.tokenize import TokenKind, tokenize
 
 soup = st.text(
@@ -139,6 +142,23 @@ def test_seeded_mixed_corpus_idempotent(lex):
         text = random_text(rng, pool)
         once = normalize(text, lex, mode=Mode.FIX).output
         assert normalize(once, lex, mode=Mode.FIX).output == once
+
+
+# Rules that target diacritics themselves; excluded when comparing
+# fix results across the diacritized/undiacritized modes.
+_DIACRITIC_RULES = ("R-VOW", "R-ART")
+
+
+def normalize_equals_on_bare(text: str, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> bool:
+    """Do fixes commute with diacritic stripping (diacritic rules aside)?"""
+    reduced = replace(
+        config,
+        rules={**{rid: config.rule_enabled(rid) for rid in RULE_PRIORITY},
+               **{rid: False for rid in _DIACRITIC_RULES}},
+    )
+    fixed_then_bare = strip_diacritics(normalize(text, lex, reduced, Mode.FIX).output)
+    bare_then_fixed = normalize(strip_diacritics(text), lex, reduced, Mode.FIX).output
+    return fixed_then_bare == bare_then_fixed
 
 
 def test_equals_on_bare_helper(lex):

@@ -81,6 +81,11 @@ def test_not_a_word():
         romanize("با ش")
     with pytest.raises(NotAWordError):
         romanize("كتابً")  # tanwin
+    # Structural faults the grapheme parser rejects, in either mode.
+    for word in ("بَِ", "بَْ"):
+        for mode in ("diacritized", "bare"):
+            with pytest.raises(NotAWordError):
+                romanize(word, mode)
 
 
 def test_bare_equals_diacritized_with_placeholders():

@@ -132,7 +132,6 @@ def test_iter_clusters_attaches_marks():
         ("ا", ""),
         ("ش", ""),
     ]
-    assert clusters[0].vowel is Vowel.A
 
 
 def test_iter_clusters_leading_mark():
