@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .script import ALEF, ALEF_MAQSURA, GAF, PEH, QAF, TEH, VEH, YEH, strip_diacritics
+from .script import ALEF, ALEF_MAQSURA, GAF, PEH, QAF, TEH, VEH, YEH, skeleton
 from .tokenize import TokenKind, tokenize
 
 ROLES = ("verbs", "prepositions", "known_words", "variant_map", "gaf_words")
@@ -108,17 +108,17 @@ class Lexicon:
     # --- queries (all take surface words, diacritics tolerated) ---------
 
     def lookup_citation_folded(self, word: str) -> VerbEntry | None:
-        return self._citation_folded.get(fold_final_alef(strip_diacritics(word)))
+        return self._citation_folded.get(fold_final_alef(skeleton(word)))
 
     def lookup_irregular_imperative(self, word: str) -> VerbEntry | None:
-        return self._irregulars.get(strip_diacritics(word))
+        return self._irregulars.get(skeleton(word))
 
     def known_spelling_for(self, word: str) -> str | None:
         """Listed spelling matching the word up to its final ا/ى letter."""
-        return self._known_folded.get(fold_final_alef(strip_diacritics(word)))
+        return self._known_folded.get(fold_final_alef(skeleton(word)))
 
     def is_citation(self, word: str) -> bool:
-        return strip_diacritics(word) in self.verbs
+        return skeleton(word) in self.verbs
 
     def matches_imperfective(self, word: str) -> bool:
         """True if the word looks like a present-tense form of a listed verb.
@@ -127,7 +127,7 @@ class Lexicon:
         folding the person prefix (ي/ت/ن) and an optional plural suffix
         (و/وا) onto the stored present stem.
         """
-        bare = strip_diacritics(word)
+        bare = skeleton(word)
         if bare in self._present_forms:
             return True
         if len(bare) < 2 or bare[0] not in "".join(_IMPERFECTIVE_PREFIXES):
@@ -155,7 +155,7 @@ def _require_word(field_text: str, source: str, line: int, what: str) -> str:
     toks = tokenize(field_text)
     if len(toks) != 1 or toks[0].kind is not TokenKind.WORD:
         raise InvalidScriptError(f"{source}:{line}: {what} is not a single word: {field_text!r}")
-    if strip_diacritics(field_text) != field_text:
+    if skeleton(field_text) != field_text:
         raise InvalidScriptError(f"{source}:{line}: {what} must be undiacritized: {field_text!r}")
     return field_text
 
@@ -192,6 +192,16 @@ def _parse_word_list(lines: Iterable[str], source: str) -> frozenset[str]:
     return frozenset(words)
 
 
+def _check_variant(variant: str, canonical: str, where: str) -> None:
+    """One variant_map row, from a TSV file or the config: one letter onto پ/ڤ/ڨ."""
+    if len(variant) != 1:
+        raise InvalidScriptError(f"{where}: variant must be one letter, got {variant!r}")
+    if canonical not in (PEH, VEH, GAF):
+        raise InvalidScriptError(
+            f"{where}: canonical letter must be one of پ ڤ ڨ, got {canonical!r}"
+        )
+
+
 def _parse_variant_map(lines: Iterable[str], source: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, line in _clean_lines(lines):
@@ -199,12 +209,7 @@ def _parse_variant_map(lines: Iterable[str], source: str) -> dict[str, str]:
         if len(cols) != 2:
             raise LexiconParseError(source, lineno, "expected 2 columns: variant, canonical")
         variant, canonical = cols[0].strip(), cols[1].strip()
-        if len(variant) != 1:
-            raise LexiconParseError(source, lineno, f"variant must be one letter, got {variant!r}")
-        if canonical not in (PEH, VEH, GAF):
-            raise InvalidScriptError(
-                f"{source}:{lineno}: canonical letter must be one of پ ڤ ڨ, got {canonical!r}"
-            )
+        _check_variant(variant, canonical, f"{source}:{lineno}")
         if variant in mapping:
             raise DuplicateEntryError(f"{source}:{lineno}: duplicate variant {variant!r}")
         mapping[variant] = canonical
@@ -301,5 +306,7 @@ def default_lexicon(overrides: Mapping[str, Path] | None = None,
         for role in ROLES
     })
     if variant_map is not None:
+        for variant, canonical in variant_map.items():
+            _check_variant(variant, canonical, "tables.variant_map")
         lex = replace(lex, variant_map=dict(variant_map))
     return lex

@@ -21,12 +21,13 @@ from .script import (
     ALEF_MAQSURA,
     KASRA,
     LAM,
+    ARABIC_MARKS,
     NOTA_MARKS,
     TEH,
     WAW,
     ZWARAKAY,
-    is_arabic_mark,
     iter_clusters,
+    skeleton,
 )
 from .tokenize import Token, TokenKind
 
@@ -79,13 +80,8 @@ def derive_imperative(present_2sg: str) -> str:
     return present_2sg[1:]
 
 
-def _bare(text: str) -> str:
-    """Letters only: drop every Arabic combining mark, canonical or not."""
-    return "".join(ch for ch in text if not is_arabic_mark(ch))
-
-
 def _letter_offsets(text: str) -> list[int]:
-    return [i for i, ch in enumerate(text) if not is_arabic_mark(ch)]
+    return [i for i, ch in enumerate(text) if ch not in ARABIC_MARKS]
 
 
 def _respell(word_text: str, bare_to: str) -> str:
@@ -93,7 +89,7 @@ def _respell(word_text: str, bare_to: str) -> str:
     out = []
     k = 0
     for ch in word_text:
-        if is_arabic_mark(ch):
+        if ch in ARABIC_MARKS:
             out.append(ch)
         else:
             out.append(bare_to[k] if k < len(bare_to) else ch)
@@ -126,7 +122,7 @@ def rule_cons(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
                 )
             )
     if not out:
-        bare = _bare(word.text)
+        bare = skeleton(word.text)
         respelled = lex.gaf_words.get(bare)
         if respelled and respelled != bare:
             out.append(
@@ -159,7 +155,7 @@ def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
                     ZWARAKAY,
                 )
             )
-        elif is_arabic_mark(ch) and ch not in NOTA_MARKS:
+        elif ch in ARABIC_MARKS and ch not in NOTA_MARKS:
             out.append(
                 Diagnostic(
                     "R-VOW",
@@ -199,7 +195,7 @@ def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
 def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-AMQ: final ى iff the verb's present 3sg ends in long /i/, else ا."""
     word = window.word
-    bare = _bare(word.text)
+    bare = skeleton(word.text)
     if not bare or bare[-1] not in (ALEF, ALEF_MAQSURA):
         return []
     pos = _letter_offsets(word.text)[-1]
@@ -250,7 +246,7 @@ def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     if entry is None or not entry.present_2sg or not entry.present_2sg.startswith(TEH):
         return []
     regular = derive_imperative(entry.present_2sg)
-    if regular == _bare(word.text):
+    if regular == skeleton(word.text):
         return []
     return [
         Diagnostic(
@@ -267,7 +263,7 @@ def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
 def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-FUT: باش before an imperfective verb is the future marker بش."""
     word = window.word
-    if _bare(word.text) != "باش":
+    if skeleton(word.text) != "باش":
         return []
     nxt = window.next_word
     if nxt is None or not lex.matches_imperfective(nxt.text):
@@ -290,9 +286,9 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     The sentence is genuinely ambiguous, so this is informational only.
     """
     word = window.word
-    bare = _bare(word.text)
+    bare = skeleton(word.text)
     prev = window.prev_word
-    prev_bare = _bare(prev.text) if prev is not None else None
+    prev_bare = skeleton(prev.text) if prev is not None else None
 
     candidates: list[tuple[str, str]] = []
     if prev_bare in ("ما", "م"):
@@ -319,7 +315,7 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
 def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-SEP: prepositions and the conjunction و stay separate words."""
     word = window.word
-    bare = _bare(word.text)
+    bare = skeleton(word.text)
     if len(bare) < 2 or bare in lex.known_words or bare in lex.prepositions:
         return []
 

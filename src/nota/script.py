@@ -5,9 +5,8 @@ letters (پ ڤ ڨ for /p v g/), four short-vowel diacritics (Fatha,
 Zwarakay, Damma, Kasra for /a ɛ u i/), Shadda and Sukun.  Everything
 here is table-driven and pure: classification is a total function over
 code points, and canonicalization maps arbitrary Arabic-script input to
-one deterministic byte form (presentation forms folded, hamza/madda
-combining pairs composed, tatweel dropped, marks ordered Shadda-first
-inside each letter cluster).
+one deterministic byte form (presentation forms folded, tatweel dropped,
+hamza/madda pairs composed, Shadda first inside each mark run).
 """
 
 from __future__ import annotations
@@ -139,14 +138,26 @@ _ARABIC_RANGES = (
     (0x0600, 0x06FF),
     (0x0750, 0x077F),
     (0x08A0, 0x08FF),
-    (0xFB50, 0xFDFF),
-    (0xFE70, 0xFEFF),
+    (0xFB50, 0xFDFF),  # presentation forms A
+    (0xFE70, 0xFEFF),  # presentation forms B
 )
 
 
-def in_arabic_block(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _ARABIC_RANGES)
+def _chars_in(ranges: tuple[tuple[int, int], ...]) -> list[str]:
+    return [chr(cp) for lo, hi in ranges for cp in range(lo, hi + 1)]
+
+
+# Per-character tables, built once from the ranges above.
+# Every combining mark of the Arabic blocks, canonical or not.
+ARABIC_MARKS = frozenset(ch for ch in _chars_in(_ARABIC_RANGES) if unicodedata.combining(ch))
+# What a Word token is made of.  Besides the inventory this keeps stray
+# Arabic-script material (variant letters, non-canonical marks, tatweel)
+# attached to the word so that the rules can see and repair it.
+WORD_CHARS = frozenset(
+    ch for ch in _chars_in(_ARABIC_RANGES) if unicodedata.category(ch) in ("Lo", "Lm", "Mn")
+)
+_PRESENTATION_FORMS = frozenset(_chars_in(_ARABIC_RANGES[3:]))
+_SKELETON = dict.fromkeys(map(ord, ARABIC_MARKS))
 
 
 def classify(ch: str) -> CharClass:
@@ -171,34 +182,14 @@ def classify(ch: str) -> CharClass:
     if cat[0] == "L":
         # Arabic-script letters outside the inventory (e.g. گ) are not
         # "foreign"; they are unknown to the orthography and left for the
-        # consonant rule to repair.
-        return CharClass.UNKNOWN if in_arabic_block(ch) else CharClass.FOREIGN
+        # consonant rule to repair.  Every Arabic letter is Lo or Lm.
+        return CharClass.UNKNOWN if ch in WORD_CHARS else CharClass.FOREIGN
     return CharClass.UNKNOWN
 
 
-def is_arabic_mark(ch: str) -> bool:
-    """True for any combining mark of the Arabic blocks, canonical or not."""
-    return ch in NOTA_MARKS or (
-        in_arabic_block(ch) and unicodedata.combining(ch) > 0
-    )
-
-
-def is_word_char(ch: str) -> bool:
-    """True if the character belongs inside a Word token.
-
-    Besides the inventory this keeps stray Arabic-script material
-    (variant letters, non-canonical marks, tatweel) attached to the word
-    so that the rules can see and repair it.
-    """
-    c = classify(ch)
-    if c in (CharClass.LETTER, CharClass.VOWEL, CharClass.SHADDA, CharClass.SUKUN):
-        return True
-    return in_arabic_block(ch) and unicodedata.category(ch) in ("Lo", "Lm", "Mn")
-
-
-def strip_diacritics(text: str) -> str:
-    """Remove exactly the inventory diacritics (vowels, Shadda, Sukun)."""
-    return "".join(ch for ch in text if ch not in NOTA_MARKS)
+def skeleton(text: str) -> str:
+    """The bare letter skeleton: every Arabic mark removed, canonical or not."""
+    return text.translate(_SKELETON)
 
 
 # --- canonicalization ----------------------------------------------------
@@ -212,14 +203,6 @@ _COMPOSE_PAIRS = {
     (WAW, "ٔ"): "ؤ",           # و + hamza   → ؤ
     (YEH, "ٔ"): "ئ",           # ي + hamza   → ئ
 }
-
-_PRESENTATION_RANGES = ((0xFB50, 0xFDFF), (0xFE70, 0xFEFF))
-
-
-def _is_presentation(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _PRESENTATION_RANGES)
-
 
 @dataclass(frozen=True)
 class Canonical:
@@ -240,51 +223,36 @@ class Canonical:
 
 
 def canonicalize(text: str) -> Canonical:
-    """Fold input to the single canonical byte form.
+    """Fold input to the single canonical byte form, in one pass.
 
-    Steps: fold Arabic presentation forms to base letters, compose the
-    hamza/madda combining pairs, drop tatweel, and order marks within
-    each cluster (Shadda first, remaining marks in input order).
-    Idempotent: canonicalize(canonicalize(x).text).text == canonicalize(x).text.
+    Each input character is folded from its presentation form (NFKC),
+    dropped if it is tatweel, composed with the previous character if
+    the two make a hamza/madda pair, and otherwise placed: a Shadda goes
+    after the Shaddas leading the current mark run, every other character
+    at the end.  Idempotent:
+    canonicalize(canonicalize(x).text).text == canonicalize(x).text.
     """
-    tagged: list[tuple[str, int, int]] = []
-    for i, ch in enumerate(text):
-        if _is_presentation(ch):
-            for folded in unicodedata.normalize("NFKC", ch):
-                tagged.append((folded, i, i + 1))
-        else:
-            tagged.append((ch, i, i + 1))
-
-    composed: list[tuple[str, int, int]] = []
-    for ch, s, e in tagged:
-        if composed:
-            prev = composed[-1]
-            merged = _COMPOSE_PAIRS.get((prev[0], ch))
-            if merged is not None:
-                composed[-1] = (merged, prev[1], e)
+    chars: list[str] = []
+    spans: list[tuple[int, int]] = []
+    shadda_at = 0  # where the next Shadda of the current mark run goes
+    for i, raw in enumerate(text):
+        for ch in unicodedata.normalize("NFKC", raw) if raw in _PRESENTATION_FORMS else raw:
+            if ch == TATWEEL:
                 continue
-        composed.append((ch, s, e))
-
-    kept = [(ch, s, e) for ch, s, e in composed if ch != TATWEEL]
-
-    out: list[tuple[str, int, int]] = []
-    run: list[tuple[str, int, int]] = []
-
-    def flush() -> None:
-        if run:
-            run.sort(key=lambda t: 0 if t[0] == SHADDA else 1)  # stable
-            out.extend(run)
-            run.clear()
-
-    for ch, s, e in kept:
-        if is_arabic_mark(ch):
-            run.append((ch, s, e))
-        else:
-            flush()
-            out.append((ch, s, e))
-    flush()
-
-    return Canonical("".join(ch for ch, _, _ in out), tuple((s, e) for _, s, e in out))
+            merged = _COMPOSE_PAIRS.get((chars[-1], ch)) if chars else None
+            if merged is not None:
+                chars[-1] = merged
+                spans[-1] = (spans[-1][0], i + 1)
+            elif ch == SHADDA:
+                chars.insert(shadda_at, ch)
+                spans.insert(shadda_at, (i, i + 1))
+                shadda_at += 1
+            else:
+                chars.append(ch)
+                spans.append((i, i + 1))
+                if ch not in ARABIC_MARKS:
+                    shadda_at = len(chars)
+    return Canonical("".join(chars), tuple(spans))
 
 
 # --- cluster view --------------------------------------------------------
@@ -311,17 +279,10 @@ def iter_clusters(word: str) -> list[Cluster]:
     i = 0
     n = len(word)
     while i < n:
-        if is_arabic_mark(word[i]):
-            j = i
-            while j < n and is_arabic_mark(word[j]):
-                j += 1
-            clusters.append(Cluster(i, j, None, word[i:j]))
-            i = j
-            continue
-        base = word[i]
-        j = i + 1
-        while j < n and is_arabic_mark(word[j]):
+        base = None if word[i] in ARABIC_MARKS else word[i]
+        j = marks_start = i if base is None else i + 1
+        while j < n and word[j] in ARABIC_MARKS:
             j += 1
-        clusters.append(Cluster(i, j, base, word[i + 1 : j]))
+        clusters.append(Cluster(i, j, base, word[marks_start:j]))
         i = j
     return clusters

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .script import CharClass, classify, is_word_char
+from .script import WORD_CHARS, CharClass, classify
 
 
 class TokenKind(Enum):
@@ -25,7 +25,7 @@ class Token:
 
 
 def _kind_of(ch: str) -> TokenKind:
-    if is_word_char(ch):
+    if ch in WORD_CHARS:
         return TokenKind.WORD
     cls = classify(ch)
     if cls is CharClass.SPACE:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+import string
+
+from hypothesis import strategies as st
 
 from nota.lexicon import Lexicon, VerbEntry
 from nota.script import (
+    _ARABIC_RANGES,
     LETTERS,
     SHADDA,
     SUKUN,
@@ -47,6 +51,22 @@ DIRTY_WORDS = [
     "ك" + TATWEEL + "تاب",  # tatweel inside كتاب
     "ﺑﺎﺵ",                    # باش in presentation forms
 ]
+
+
+# Hostile input for the character layer: anything in the five Arabic
+# ranges, ZWJ/ZWNJ/BOM, the ﷲ and ﷺ ligatures, tatweel with the combining
+# madda/hamza, and plain whitespace, Latin letters and digits.
+wide_text = st.text(
+    alphabet=st.one_of(
+        *(st.characters(min_codepoint=lo, max_codepoint=hi) for lo, hi in _ARABIC_RANGES),
+        st.sampled_from(
+            ["\u200d", "\u200c", "\ufeff", "\ufdf2", "\ufdfa",
+             TATWEEL, "\u0653", "\u0654", "\u0655", " ", "\n"]
+        ),
+        st.sampled_from(string.ascii_letters + string.digits),
+    ),
+    max_size=40,
+)
 
 
 def random_word(rng: random.Random, min_len: int = 1, max_len: int = 6,

@@ -1,0 +1,126 @@
+"""The range-scan character predicates and the multi-pass canonicalizer.
+
+Kept as the oracle for the table-driven character layer in nota.script.
+The code is the per-character implementation that the tables replaced,
+unchanged except for one step of ``canonicalize``: tatweel is dropped
+before the hamza/madda pairs are composed (it used to be dropped after,
+so ``اـٓ`` canonicalized to ``ا``+``ٓ`` and only a second run composed it).
+"""
+
+from __future__ import annotations
+
+import unicodedata
+
+from nota.script import (
+    _COMPOSE_PAIRS,
+    LETTER_SET,
+    NOTA_MARKS,
+    SHADDA,
+    SUKUN,
+    TATWEEL,
+    VOWEL_MARKS,
+    Canonical,
+    CharClass,
+)
+
+_ARABIC_RANGES = (
+    (0x0600, 0x06FF),
+    (0x0750, 0x077F),
+    (0x08A0, 0x08FF),
+    (0xFB50, 0xFDFF),
+    (0xFE70, 0xFEFF),
+)
+
+
+def in_arabic_block(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _ARABIC_RANGES)
+
+
+def classify(ch: str) -> CharClass:
+    """Classify one code point. Total and pure."""
+    if ch in LETTER_SET:
+        return CharClass.LETTER
+    if ch in VOWEL_MARKS:
+        return CharClass.VOWEL
+    if ch == SHADDA:
+        return CharClass.SHADDA
+    if ch == SUKUN:
+        return CharClass.SUKUN
+    if ch.isspace():
+        return CharClass.SPACE
+    cat = unicodedata.category(ch)
+    if cat == "Nd":
+        return CharClass.DIGIT
+    if cat == "Zs":
+        return CharClass.SPACE
+    if cat[0] in "PS":
+        return CharClass.PUNCT
+    if cat[0] == "L":
+        return CharClass.UNKNOWN if in_arabic_block(ch) else CharClass.FOREIGN
+    return CharClass.UNKNOWN
+
+
+def is_arabic_mark(ch: str) -> bool:
+    """True for any combining mark of the Arabic blocks, canonical or not."""
+    return ch in NOTA_MARKS or (
+        in_arabic_block(ch) and unicodedata.combining(ch) > 0
+    )
+
+
+def is_word_char(ch: str) -> bool:
+    """True if the character belongs inside a Word token."""
+    c = classify(ch)
+    if c in (CharClass.LETTER, CharClass.VOWEL, CharClass.SHADDA, CharClass.SUKUN):
+        return True
+    return in_arabic_block(ch) and unicodedata.category(ch) in ("Lo", "Lm", "Mn")
+
+
+_PRESENTATION_RANGES = ((0xFB50, 0xFDFF), (0xFE70, 0xFEFF))
+
+
+def _is_presentation(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _PRESENTATION_RANGES)
+
+
+def canonicalize(text: str) -> Canonical:
+    tagged: list[tuple[str, int, int]] = []
+    for i, ch in enumerate(text):
+        if _is_presentation(ch):
+            for folded in unicodedata.normalize("NFKC", ch):
+                tagged.append((folded, i, i + 1))
+        else:
+            tagged.append((ch, i, i + 1))
+
+    # Moved ahead of composition (see the module docstring).
+    tagged = [(ch, s, e) for ch, s, e in tagged if ch != TATWEEL]
+
+    composed: list[tuple[str, int, int]] = []
+    for ch, s, e in tagged:
+        if composed:
+            prev = composed[-1]
+            merged = _COMPOSE_PAIRS.get((prev[0], ch))
+            if merged is not None:
+                composed[-1] = (merged, prev[1], e)
+                continue
+        composed.append((ch, s, e))
+
+    out: list[tuple[str, int, int]] = []
+    run: list[tuple[str, int, int]] = []
+
+    def flush() -> None:
+        if run:
+            run.sort(key=lambda t: 0 if t[0] == SHADDA else 1)  # stable
+            out.extend(run)
+            run.clear()
+
+    for ch, s, e in composed:
+        if is_arabic_mark(ch):
+            run.append((ch, s, e))
+        else:
+            flush()
+            out.append((ch, s, e))
+    flush()
+
+    return Canonical("".join(ch for ch, _, _ in out), tuple((s, e) for _, s, e in out))

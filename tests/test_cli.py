@@ -219,6 +219,11 @@ FAILURES = {
     "unwritable --out": (None, lambda tmp: [
         "stats", _corpus(tmp), "--out", str(tmp / "no" / "such" / "dir" / "r.json"),
     ]),
+    "config variant_map onto a non-پ/ڤ/ڨ letter": (None, lambda tmp: [
+        "normalize", "--fix",
+        "--config", _file(tmp / "cfg.json", '{"tables": {"variant_map": {"ا": "ب"}}}'.encode()),
+        _file(tmp / "in.txt", "باش الدار".encode()),
+    ]),
     "invalid UTF-8 on stdin": (b"\xd8\xa8\xff\xfe", lambda tmp: ["normalize", "--fix", "-"]),
     "unreadable second file under --fix": (None, lambda tmp: [
         "normalize", "--fix", _file(tmp / "a.txt", DIRTY.encode()), str(tmp / "missing.txt"),

@@ -10,7 +10,7 @@ from nota.lexicon import (
     fold_final_alef,
     load_lexicon,
 )
-from nota.script import strip_diacritics
+from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
 
 
@@ -30,7 +30,7 @@ def test_every_stored_form_is_one_word_token(lex):
                 continue
             tokens = tokenize(form)
             assert len(tokens) == 1 and tokens[0].kind is TokenKind.WORD
-            assert strip_diacritics(form) == form
+            assert skeleton(form) == form
 
 
 def test_flag_matches_present_form(lex):
@@ -70,6 +70,11 @@ def test_foreign_field_rejected():
 def test_diacritized_field_rejected():
     with pytest.raises(InvalidScriptError):
         load_lexicon({"known_words": ["بَاب"]})
+
+
+def test_field_with_non_nota_mark_rejected():
+    with pytest.raises(InvalidScriptError):
+        load_lexicon({"known_words": ["كتاب\u064b"]})  # tanwin could never match
 
 
 def test_variant_map_target_constrained():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import lexicon_word_pool, random_text
+from gen import lexicon_word_pool, random_text, wide_text
 from nota import Config, ConfigError, Mode, normalize
 from nota.config import DEFAULT_CONFIG
 from nota.lexicon import Lexicon, load_lexicon
 from nota.pipeline import PassCapExceededError
 from nota.rules import RULE_PRIORITY, Severity
-from nota.script import strip_diacritics
+from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
 
 soup = st.text(
@@ -135,6 +135,21 @@ def test_check_never_alters(lex, text):
     assert normalize(text, lex, mode=Mode.CHECK).output == text
 
 
+@settings(max_examples=200, deadline=None)
+@given(wide_text)
+def test_wide_alphabet_fix_idempotent(lex, text):
+    once = normalize(text, lex, mode=Mode.FIX).output
+    assert normalize(once, lex, mode=Mode.FIX).output == once
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_text)
+def test_wide_alphabet_check_unchanged_and_spans_inside(lex, text):
+    result = normalize(text, lex, mode=Mode.CHECK)
+    assert result.output == text
+    assert all(0 <= d.start <= d.end <= len(text) for d in result.diagnostics)
+
+
 def test_seeded_mixed_corpus_idempotent(lex):
     rng = random.Random(404)
     pool = lexicon_word_pool(lex)
@@ -156,8 +171,8 @@ def normalize_equals_on_bare(text: str, lex: Lexicon, config: Config = DEFAULT_C
         rules={**{rid: config.rule_enabled(rid) for rid in RULE_PRIORITY},
                **{rid: False for rid in _DIACRITIC_RULES}},
     )
-    fixed_then_bare = strip_diacritics(normalize(text, lex, reduced, Mode.FIX).output)
-    bare_then_fixed = normalize(strip_diacritics(text), lex, reduced, Mode.FIX).output
+    fixed_then_bare = skeleton(normalize(text, lex, reduced, Mode.FIX).output)
+    bare_then_fixed = normalize(skeleton(text), lex, reduced, Mode.FIX).output
     return fixed_then_bare == bare_then_fixed
 
 

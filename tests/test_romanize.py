@@ -11,7 +11,7 @@ from nota.romanize import (
     romanize,
     romanize_segments,
 )
-from nota.script import LETTERS, Vowel, strip_diacritics
+from nota.script import LETTERS, Vowel, skeleton
 
 
 def test_baash():
@@ -104,4 +104,4 @@ def test_bare_equals_diacritized_with_placeholders():
             PLACEHOLDER if s.rstrip("ː") in vowel_ipa.values() else s
             for s in segments
         )
-        assert romanize_segments(strip_diacritics(word), "bare") == expected
+        assert romanize_segments(skeleton(word), "bare") == expected

@@ -208,6 +208,13 @@ def test_fut_diacritics_ignored(lex):
     assert len(found) == 1
 
 
+def test_fut_and_imp_ignore_non_nota_marks(lex):
+    # Tanwin is not a NOTA mark, but the lexicon still sees the verb.
+    assert len(diags(f"{BAASH} {NIMSHI}\u064b", lex, only="R-FUT")) == 1
+    found = diags("كول\u064b", lex, only="R-IMP")
+    assert [d.replacement for d in found] == ["اكل"]
+
+
 # --- R-PRON ---------------------------------------------------------------
 
 

@@ -1,29 +1,36 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import script_oracle
+from gen import wide_text
 from nota.script import (
+    _PRESENTATION_FORMS,
     ALEF,
+    ARABIC_MARKS,
     FATHA,
     KASRA,
     LETTERS,
     SHADDA,
     SUKUN,
     TATWEEL,
+    WORD_CHARS,
     ZWARAKAY,
     CharClass,
     Vowel,
     canonicalize,
     classify,
     iter_clusters,
-    strip_diacritics,
+    skeleton,
 )
 
 arabic_soup = st.text(
     alphabet=list(LETTERS) + [FATHA, KASRA, SHADDA, SUKUN, ZWARAKAY, TATWEEL]
-    + list("abc 123.،ًٰگﺑ"),
+    + list("abc 123.،ًٰگﺑ") + ["\u0653", "\u0654", "\u0655"],
     max_size=40,
 )
 
@@ -83,16 +90,16 @@ def test_classify_is_total_and_deterministic(cp):
     assert isinstance(classify(ch), CharClass)
 
 
-def test_strip_diacritics_examples():
-    assert strip_diacritics("بَاش") == "باش"
-    assert strip_diacritics("باش") == "باش"
-    assert strip_diacritics("abc") == "abc"
+def test_skeleton_examples():
+    assert skeleton("بَاش") == "باش"
+    assert skeleton("باش") == "باش"
+    assert skeleton("abc") == "abc"
 
 
 @given(st.text(max_size=64))
-def test_strip_diacritics_idempotent_and_monotone(text):
-    once = strip_diacritics(text)
-    assert strip_diacritics(once) == once
+def test_skeleton_idempotent_and_monotone(text):
+    once = skeleton(text)
+    assert skeleton(once) == once
     assert len(once) <= len(text)
 
 
@@ -119,8 +126,20 @@ def test_canonicalize_span_mapping():
     assert canon.to_original(1, 2) == (2, 3)
 
 
+def test_canonicalize_drops_tatweel_before_composing():
+    assert canonicalize("ا" + TATWEEL + "\u0653").text == "آ"
+    assert canonicalize("ا" + TATWEEL + "\u0654").text == "أ"
+    assert canonicalize("و" + TATWEEL + "\u0654").text == "ؤ"
+
+
 @given(arabic_soup)
 def test_canonicalize_idempotent(text):
+    once = canonicalize(text).text
+    assert canonicalize(once).text == once
+
+
+@given(wide_text)
+def test_canonicalize_idempotent_on_wide_alphabet(text):
     once = canonicalize(text).text
     assert canonicalize(once).text == once
 
@@ -138,3 +157,28 @@ def test_iter_clusters_leading_mark():
     clusters = iter_clusters("َب")
     assert clusters[0].base is None
     assert clusters[0].marks == "َ"
+
+
+def test_tables_match_oracle_predicates_on_the_bmp():
+    for cp in range(0x10000):
+        ch = chr(cp)
+        assert (ch in ARABIC_MARKS) == script_oracle.is_arabic_mark(ch), hex(cp)
+        assert (ch in WORD_CHARS) == script_oracle.is_word_char(ch), hex(cp)
+        assert (ch in _PRESENTATION_FORMS) == script_oracle._is_presentation(ch), hex(cp)
+        assert classify(ch) is script_oracle.classify(ch), hex(cp)
+
+
+# Letters that compose with hamza/madda, marks (NOTA, combining hamza and
+# madda, tatweel, tanwin), presentation forms that fold to several
+# characters (ﻻ, and ﳲ/ﹱ which carry tatweel and marks), Latin, space.
+CANON_ALPHABET = (
+    "اويبل" + "\u064e\u0651\u0652\u0653\u0654\u0655" + TATWEEL + "\u064b" + "ﻻﳲﹱx "
+)
+
+
+def test_canonicalize_matches_oracle_exhaustively():
+    assert len(set(CANON_ALPHABET)) == len(CANON_ALPHABET) == 18
+    for n in range(5):
+        for chars in product(CANON_ALPHABET, repeat=n):
+            text = "".join(chars)
+            assert canonicalize(text) == script_oracle.canonicalize(text), ascii(text)

@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nota.script import strip_diacritics
+from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
 
 any_text = st.text(max_size=80)
@@ -70,7 +70,7 @@ def test_maximal_munch(text):
 @given(mixed_text)
 def test_word_count_stable_under_stripping(text):
     words = [t for t in tokenize(text) if t.kind is TokenKind.WORD]
-    if any(not strip_diacritics(t.text) for t in words):
+    if any(not skeleton(t.text) for t in words):
         return  # a mark-only word has no bare counterpart
-    bare_words = [t for t in tokenize(strip_diacritics(text)) if t.kind is TokenKind.WORD]
+    bare_words = [t for t in tokenize(skeleton(text)) if t.kind is TokenKind.WORD]
     assert len(bare_words) == len(words)
