@@ -10,7 +10,9 @@ Four TSV resources (UTF-8, no header, '#' comments):
   gaf_words.tsv    word spelled with ق, respelling with ڨ
 
 Loading validates everything up front; a loaded Lexicon is immutable and
-safe to share.
+safe to share. Its one mutable part is a bounded per-word cache of rule
+results that ``rules.run_rules`` keeps on it; a new Lexicon, including
+one made by ``dataclasses.replace``, starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ class Lexicon:
     _present_forms: frozenset[str] = field(default=frozenset(), repr=False)
     _irregulars: dict[str, VerbEntry] = field(default_factory=dict, repr=False)
     _known_folded: dict[str, str] = field(default_factory=dict, repr=False)
+    _prepositions_longest_first: tuple[str, ...] = field(default=(), repr=False)
+    # Word-local rule results, {config key: {word text: diagnostics}}; see
+    # rules.run_rules.  Not an init field, so replace() never copies it.
+    _rule_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         folded: dict[str, VerbEntry] = {}
@@ -104,6 +110,9 @@ class Lexicon:
         object.__setattr__(self, "_present_forms", frozenset(presents))
         object.__setattr__(self, "_irregulars", irregulars)
         object.__setattr__(self, "_known_folded", known_folded)
+        longest_first = tuple(sorted(self.prepositions, key=lambda w: (-len(w), w)))
+        object.__setattr__(self, "_prepositions_longest_first", longest_first)
+        object.__setattr__(self, "_rule_memo", {})
 
     # --- queries (all take surface words, diacritics tolerated) ---------
 

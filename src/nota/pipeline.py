@@ -9,6 +9,7 @@ original input; the applied rewrites are recorded in a fix trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from enum import Enum, auto
 
@@ -62,11 +63,20 @@ def _fixable(diag: Diagnostic) -> bool:
 
 
 def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
-    """Greedy pick by rule priority then position; overlaps wait a pass."""
+    """Greedy pick by rule priority then position; overlaps wait a pass.
+
+    Two spans overlap when each starts before the other ends.  The chosen
+    spans are kept sorted by (start, end); pairwise non-overlapping, their
+    ends then never decrease, so the last one starting before a candidate's
+    end is the only one that can reach past its start.
+    """
     chosen: list[Diagnostic] = []
+    spans: list[tuple[int, int]] = []
     for d in sorted(diags, key=lambda d: (_PRIORITY_INDEX[d.rule], d.start, d.end)):
-        if all(d.end <= c.start or d.start >= c.end for c in chosen):
+        i = bisect_left(spans, (d.end,))
+        if i == 0 or spans[i - 1][1] <= d.start:
             chosen.append(d)
+            insort(spans, (d.start, d.end))
     return chosen
 
 
@@ -122,10 +132,17 @@ def normalize(
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
-        chosen = _select_nonoverlapping(applicable)
-        for d in sorted(chosen, key=lambda d: d.start, reverse=True):
-            current = current[: d.start] + (d.replacement or "") + current[d.end :]
-            fixes.append(FixEvent(d.rule, passes, d.start, d.end, d.replacement or ""))
+        chosen = sorted(_select_nonoverlapping(applicable), key=lambda d: d.start)
+        pieces = []
+        pos = 0
+        for d in chosen:
+            pieces += (current[pos : d.start], d.replacement or "")
+            pos = d.end
+        pieces.append(current[pos:])
+        current = "".join(pieces)
+        fixes.extend(
+            FixEvent(d.rule, passes, d.start, d.end, d.replacement or "") for d in reversed(chosen)
+        )
         _, diags = _lint_canonical(current, lex, config)
 
     return RunResult(

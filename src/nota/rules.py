@@ -4,6 +4,12 @@ Rule ids are stable public strings. Each rule is a pure function of its
 token window, the lexicon and the rule tables; replacements converge:
 re-running a rule on its own replacement yields nothing.
 
+Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
+read only the window's word, never its neighbours. ``run_rules`` runs
+them once per distinct word text and keeps their findings in a bounded
+memo on the Lexicon; R-FUT and R-PRON read a neighbour and run on every
+window.
+
 Severities drive fix mode: Error fixes are always safe to apply,
 Warning fixes carry lexicon evidence, Info is a suggestion only (the
 pronoun rule flags a genuinely ambiguous reading and is never applied).
@@ -344,7 +350,7 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
                     f"fused preposition; write {fused[fused_form]} separately",
                     fused[fused_form] + word.text[k:],
                 )
-    for prep in sorted(lex.prepositions, key=len, reverse=True):
+    for prep in lex._prepositions_longest_first:
         if len(prep) >= 2 and bare.startswith(prep) and len(bare) > len(prep):
             if known_or_definite(bare[len(prep):]):
                 return diag(
@@ -369,6 +375,14 @@ _RULES: Mapping[str, Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Dia
     "R-PRON": rule_pron,
     "R-SEP": rule_sep,
 }
+
+
+# The rules that read only ``window.word``; tests/test_rules.py checks
+# that each gives the same findings whatever the neighbours.
+_WORD_RULES = frozenset({"R-VOW", "R-CONS", "R-ART", "R-AMQ", "R-IMP", "R-SEP"})
+
+# Distinct words the memo in run_rules holds before it is emptied.
+_WORD_MEMO_CAP = 4096
 
 
 def windows(tokens: list[Token]) -> list[RuleWindow]:
@@ -403,14 +417,46 @@ def run_rules(
     enabled: Mapping[str, bool] | None = None,
     fused_prepositions: Mapping[str, str] | None = None,
 ) -> list[Diagnostic]:
-    """Run the enabled rules over all word windows, in deterministic order."""
+    """Run the enabled rules over all word windows, in deterministic order.
+
+    The word-local rules run once per distinct word text.  Their findings,
+    relative to the word start, are kept on ``lex`` for this rule set and
+    fused map, at most ``_WORD_MEMO_CAP`` words; another rule set or fused
+    map empties the memo.
+    """
     fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
     active = [
         rid for rid in RULE_PRIORITY if enabled is None or enabled.get(rid, True)
     ]
+    word_rules = [_RULES[rid] for rid in active if rid in _WORD_RULES]
+    context_rules = [_RULES[rid] for rid in active if rid not in _WORD_RULES]
+    config_key = (tuple(active), frozenset(fused.items()))
+    memo = lex._rule_memo.get(config_key)
+    if memo is None:
+        lex._rule_memo.clear()
+        memo = lex._rule_memo[config_key] = {}
     out: list[Diagnostic] = []
     for window in windows(tokens):
-        for rid in active:
-            out.extend(_RULES[rid](window, lex, fused))
+        word = window.word
+        base = word.start
+        found = memo.get(word.text)
+        if found is None:
+            local = [d for rule in word_rules for d in rule(window, lex, fused)]
+            out.extend(local)
+            if len(memo) >= _WORD_MEMO_CAP:
+                memo.clear()
+            memo[word.text] = tuple(
+                Diagnostic(d.rule, d.start - base, d.end - base, d.severity, d.message, d.replacement)
+                for d in local
+            )
+        elif found:
+            out.extend(
+                Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
+                for d in found
+            )
+        for rule in context_rules:
+            out.extend(rule(window, lex, fused))
+    # Each rule's findings lie inside its window's word, so this order does
+    # not depend on the order the rules ran in.
     out.sort(key=lambda d: (d.start, d.rule))
     return out

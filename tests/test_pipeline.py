@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rules_oracle
 from gen import lexicon_word_pool, random_text, wide_text
 from nota import Config, ConfigError, Mode, normalize
 from nota.config import DEFAULT_CONFIG
 from nota.lexicon import Lexicon, load_lexicon
-from nota.pipeline import PassCapExceededError
-from nota.rules import RULE_PRIORITY, Severity
+from nota.pipeline import PassCapExceededError, _select_nonoverlapping
+from nota.rules import RULE_PRIORITY, Diagnostic, Severity
 from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
 
@@ -193,3 +194,21 @@ def test_fixpoint_has_no_fixable_diagnostics(lex):
             d for d in residue
             if d.severity in (Severity.ERROR, Severity.WARNING) and d.replacement is not None
         ]
+
+
+# Small offsets so that equal, nested, touching and empty spans are common.
+candidate_fixes = st.lists(
+    st.builds(
+        lambda rule, start, width: Diagnostic(rule, start, start + width, Severity.ERROR, "", "x"),
+        st.sampled_from(RULE_PRIORITY),
+        st.integers(0, 12),
+        st.integers(0, 4),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_fixes)
+def test_select_nonoverlapping_matches_oracle(diags):
+    assert _select_nonoverlapping(diags) == rules_oracle.select_nonoverlapping(diags)

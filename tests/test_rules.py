@@ -1,15 +1,29 @@
 from __future__ import annotations
 
-import pytest
+import random
+from dataclasses import replace
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import rules_oracle
+from gen import DIRTY_WORDS, lexicon_word_pool, random_text, random_word, synthetic_lexicon, wide_text
 from nota.rules import (
+    _RULES,
+    _WORD_MEMO_CAP,
+    _WORD_RULES,
+    RULE_IDS,
     RULE_PRIORITY,
     NotSecondPersonError,
+    RuleWindow,
     Severity,
     derive_imperative,
     run_rules,
+    windows,
 )
-from nota.tokenize import tokenize
+from nota.script import canonicalize
+from nota.tokenize import TokenKind, tokenize
 
 # Convenience glyph names for readability.
 BAASH = "باش"          # باش
@@ -340,3 +354,94 @@ def test_no_overlap_within_one_rule_and_clean_replacements(lex):
             same.sort(key=lambda d: d.start)
             for a, b in zip(same, same[1:]):
                 assert a.end <= b.start, (a, b)
+
+
+# --- the word memo in run_rules ------------------------------------------------
+
+# One synthetic lexicon shared by every example, so its memo carries over
+# from one document and one configuration to the next.
+SYNTHETIC = synthetic_lexicon(random.Random(7))
+
+FUSED_MAPS = [
+    None,
+    {},
+    {"فال": "في ال"},
+    {"مال": "من ال", "عال": "على ال", "فال": "في ال"},
+]
+
+enabled_maps = st.none() | st.dictionaries(st.sampled_from(RULE_PRIORITY), st.booleans())
+
+
+def _document(rng: random.Random, lex, wide: str) -> str:
+    pool = lexicon_word_pool(lex)
+    lines = [random_text(rng, pool) for _ in range(rng.randint(1, 4))]
+    # Repeat lines so that later words hit the memo within the document.
+    return canonicalize("\n".join(lines + [wide] + rng.sample(lines, 1) + [wide])).text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=wide_text,
+    synthetic=st.booleans(),
+    enabled=enabled_maps,
+    fused=st.sampled_from(FUSED_MAPS),
+)
+def test_run_rules_matches_oracle(lex, seed, wide, synthetic, enabled, fused):
+    lexicon = SYNTHETIC if synthetic else lex
+    tokens = tokenize(_document(random.Random(seed), lexicon, wide))
+    expected = rules_oracle.run_rules(tokens, lexicon, enabled, fused)
+    assert run_rules(tokens, lexicon, enabled, fused) == expected
+    assert run_rules(tokens, lexicon, enabled, fused) == expected
+
+
+def test_rule_memo_stays_within_cap():
+    lexicon = synthetic_lexicon(random.Random(11))
+    rng = random.Random(5)
+    words: set[str] = set()
+    while len(words) < _WORD_MEMO_CAP + 1000:
+        words.add(random_word(rng, 2, 7))
+    tokens = tokenize(" ".join(sorted(words)))
+    expected = rules_oracle.run_rules(tokens, lexicon)
+    for _ in range(2):
+        assert run_rules(tokens, lexicon) == expected
+        assert sum(len(memo) for memo in lexicon._rule_memo.values()) <= _WORD_MEMO_CAP
+
+
+def test_rule_memo_follows_lexicon_and_config(lex):
+    def found(text, lexicon=lex, **kwargs):
+        return [(d.rule, d.replacement) for d in run_rules(tokenize(text), lexicon, **kwargs)]
+
+    assert found("گاوري") == [("R-CONS", "ڨ")]
+    assert found("گاوري", replace(lex, variant_map={})) == []
+    assert found("گاوري", enabled={"R-CONS": False}) == []
+    assert found("گاوري") == [("R-CONS", "ڨ")]
+    assert found("فالدار") == [("R-SEP", "في الدار")]
+    assert found("فالدار", fused_prepositions={}) == []
+    assert found("فالدار", fused_prepositions={"فال": "فِي ال"}) == [("R-SEP", "فِي الدار")]
+    assert found("فالدار") == [("R-SEP", "في الدار")]
+
+
+def test_word_rules_are_the_rules_without_context():
+    assert _WORD_RULES | {"R-FUT", "R-PRON"} == RULE_IDS
+    assert not _WORD_RULES & {"R-FUT", "R-PRON"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=wide_text, synthetic=st.booleans(), fused=st.sampled_from(FUSED_MAPS[1:]))
+@example(seed=0, wide="باش نمشي ما كلموش", synthetic=False, fused={})
+def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
+    """A rule in _WORD_RULES must not read a neighbour, or the memo goes wrong."""
+    lexicon = SYNTHETIC if synthetic else lex
+    rng = random.Random(seed)
+    text = _document(rng, lexicon, wide)
+    words = [t for t in tokenize(text) if t.kind is TokenKind.WORD]
+    neighbours = [None, *words, *(tokenize(w)[0] for w in DIRTY_WORDS)]
+    for window in windows(tokenize(text)):
+        alone = RuleWindow(window.word)
+        other = RuleWindow(window.word, rng.choice(neighbours), rng.choice(neighbours))
+        for rid in _WORD_RULES:
+            rule = _RULES[rid]
+            expected = rule(alone, lexicon, fused)
+            assert rule(window, lexicon, fused) == expected, rid
+            assert rule(other, lexicon, fused) == expected, rid
