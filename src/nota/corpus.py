@@ -9,6 +9,7 @@ recorded in their row, never fatal.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,18 +46,20 @@ class CorpusReport:
 def file_stats(name: str, text: str, lex: Lexicon, config: Config) -> FileStats:
     _, tokens, diagnostics = _lint(text, lex, config)
     words = [t for t in tokens if t.kind is TokenKind.WORD]
+    # A word is dirty when a diagnostic overlaps it (each starts before the
+    # other ends).  The words are disjoint and in order, so those a span
+    # overlaps are one index range, found by bisection.
+    starts = [w.start for w in words]
+    ends = [w.end for w in words]
+    dirty: set[int] = set()
     per_rule: dict[str, int] = {}
     for d in diagnostics:
         per_rule[d.rule] = per_rule.get(d.rule, 0) + 1
-    clean = sum(
-        1
-        for w in words
-        if not any(d.start < w.end and d.end > w.start for d in diagnostics)
-    )
+        dirty.update(range(bisect_right(ends, d.start), bisect_left(starts, d.end)))
     return FileStats(
         file=name,
         word_tokens=len(words),
-        clean_words=clean,
+        clean_words=len(words) - len(dirty),
         diagnostics_per_rule=per_rule,
     )
 

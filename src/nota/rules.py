@@ -391,24 +391,14 @@ def windows(tokens: list[Token]) -> list[RuleWindow]:
     Punctuation or foreign material breaks adjacency, so a sentence-final
     باش never sees a verb on the other side of a full stop.
     """
-    out: list[RuleWindow] = []
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.WORD:
-            continue
-        prev_word = None
-        j = i - 1
-        while j >= 0 and tokens[j].kind is TokenKind.SPACE:
-            j -= 1
-        if j >= 0 and tokens[j].kind is TokenKind.WORD:
-            prev_word = tokens[j]
-        next_word = None
-        j = i + 1
-        while j < len(tokens) and tokens[j].kind is TokenKind.SPACE:
-            j += 1
-        if j < len(tokens) and tokens[j].kind is TokenKind.WORD:
-            next_word = tokens[j]
-        out.append(RuleWindow(tok, prev_word, next_word))
-    return out
+    # The non-space tokens in order, None standing for each that is not a
+    # word, padded so every word has a predecessor and a successor.
+    seq: list[Token | None] = [None]
+    seq += (
+        t if t.kind is TokenKind.WORD else None for t in tokens if t.kind is not TokenKind.SPACE
+    )
+    seq.append(None)
+    return [RuleWindow(w, p, n) for p, w, n in zip(seq, seq[1:], seq[2:]) if w is not None]
 
 
 def run_rules(

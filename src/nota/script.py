@@ -7,13 +7,20 @@ here is table-driven and pure: classification is a total function over
 code points, and canonicalization maps arbitrary Arabic-script input to
 one deterministic byte form (presentation forms folded, tatweel dropped,
 hamza/madda pairs composed, Shadda first inside each mark run).
+
+The per-character tables are frozensets built once at import;
+``char_class`` turns one into a regex class of code-point ranges, so the
+tokenizer and ``canonicalize`` scan text with compiled regexes, not a
+Python loop over its characters.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum, auto
+from functools import lru_cache
 
 # Short-vowel diacritics and syllable marks.
 FATHA = "َ"      #  َ   /a/
@@ -160,6 +167,21 @@ _PRESENTATION_FORMS = frozenset(_chars_in(_ARABIC_RANGES[3:]))
 _SKELETON = dict.fromkeys(map(ord, ARABIC_MARKS))
 
 
+def char_class(chars: frozenset[str]) -> str:
+    """The body of a regex character class matching exactly ``chars``.
+
+    Written as code-point ranges, which compile in less than half the time
+    of the same characters listed one by one.
+    """
+    cps = sorted(map(ord, chars))
+    # A range ends wherever the next code point is not the one after it.
+    breaks = [i for i in range(1, len(cps)) if cps[i] != cps[i - 1] + 1]
+    return "".join(
+        f"\\U{cps[lo]:08x}-\\U{cps[hi - 1]:08x}"
+        for lo, hi in zip([0, *breaks], [*breaks, len(cps)])
+    )
+
+
 def classify(ch: str) -> CharClass:
     """Classify one code point. Total and pure."""
     if ch in LETTER_SET:
@@ -187,8 +209,13 @@ def classify(ch: str) -> CharClass:
     return CharClass.UNKNOWN
 
 
+@lru_cache(maxsize=4096)
 def skeleton(text: str) -> str:
-    """The bare letter skeleton: every Arabic mark removed, canonical or not."""
+    """The bare letter skeleton: every Arabic mark removed, canonical or not.
+
+    Memoised for the 4,096 most recent texts: the rules and the lexicon
+    take the skeleton of the same few thousand words over and over.
+    """
     return text.translate(_SKELETON)
 
 
@@ -222,20 +249,58 @@ class Canonical:
         return (min(s for s, _ in covered), max(e for _, e in covered))
 
 
+# A whitespace-delimited run up to its first rewrite trigger (listed in
+# canonicalize).  The match may start only after whitespace, so each run
+# is scanned once; unanchored, a long run without whitespace would be
+# rescanned from each of its positions, in quadratic time.
+_REWRITTEN = char_class(_PRESENTATION_FORMS | {TATWEEL, "\u0653", "\u0654", "\u0655"})
+_MARKS_BUT_SHADDA = char_class(ARABIC_MARKS - {SHADDA})
+_NEEDS_REWRITE = re.compile(rf"(?<!\S)\S*?(?:[{_REWRITTEN}]|[{_MARKS_BUT_SHADDA}]\u0651)")
+_RUN_END = re.compile(r"\s|\Z")
+
+
 def canonicalize(text: str) -> Canonical:
-    """Fold input to the single canonical byte form, in one pass.
+    """Fold input to the single canonical byte form.
+
+    No rewrite of ``_canonicalize_slow`` reaches across whitespace: no
+    pair composes with it and it ends every mark run.  So each
+    whitespace-delimited run is folded on its own.  A run is copied as it
+    is unless it holds a trigger: a presentation form, tatweel, a
+    combining madda or hamza (U+0653..U+0655), or a Shadda right after an
+    Arabic mark other than Shadda.  Runs with a trigger go through
+    ``_canonicalize_slow``.
+    Idempotent: canonicalize(canonicalize(x).text).text == canonicalize(x).text.
+    """
+    out: list[str] = []
+    spans: list[tuple[int, int]] = []
+    pos = 0
+    while (m := _NEEDS_REWRITE.search(text, pos)) is not None:
+        start = m.start()
+        end = _RUN_END.search(text, m.end()).start()
+        out.append(text[pos:start])
+        spans += zip(range(pos, start), range(pos + 1, start + 1))
+        run_chars, run_spans = _canonicalize_slow(text[start:end], start)
+        out += run_chars
+        spans += run_spans
+        pos = end
+    out.append(text[pos:])
+    spans += zip(range(pos, len(text)), range(pos + 1, len(text) + 1))
+    return Canonical("".join(out), tuple(spans))
+
+
+def _canonicalize_slow(text: str, offset: int) -> tuple[list[str], list[tuple[int, int]]]:
+    """Canonicalize ``text`` one character at a time; spans shifted by ``offset``.
 
     Each input character is folded from its presentation form (NFKC),
     dropped if it is tatweel, composed with the previous character if
     the two make a hamza/madda pair, and otherwise placed: a Shadda goes
     after the Shaddas leading the current mark run, every other character
-    at the end.  Idempotent:
-    canonicalize(canonicalize(x).text).text == canonicalize(x).text.
+    at the end.
     """
     chars: list[str] = []
     spans: list[tuple[int, int]] = []
     shadda_at = 0  # where the next Shadda of the current mark run goes
-    for i, raw in enumerate(text):
+    for i, raw in enumerate(text, offset):
         for ch in unicodedata.normalize("NFKC", raw) if raw in _PRESENTATION_FORMS else raw:
             if ch == TATWEEL:
                 continue
@@ -252,7 +317,7 @@ def canonicalize(text: str) -> Canonical:
                 spans.append((i, i + 1))
                 if ch not in ARABIC_MARKS:
                     shadda_at = len(chars)
-    return Canonical("".join(chars), tuple(spans))
+    return chars, spans
 
 
 # --- cluster view --------------------------------------------------------

@@ -1,11 +1,22 @@
-"""Lossless tokenizer: typed spans that concatenate back to the input."""
+"""Lossless tokenizer: typed spans that concatenate back to the input.
+
+One compiled regex, ``([WORD_CHARS]+)|(\\s+)|(\\d+)|([^WORD_CHARS\\s\\d]+)``,
+splits the text into maximal runs of word characters, whitespace (what
+``str.isspace`` accepts), decimal digits (category Nd) and everything
+else.  Only the runs of everything else, punctuation and foreign text,
+are split further, by each character's category, into PUNCT (categories
+P and S) and FOREIGN.
+"""
 
 from __future__ import annotations
 
+import re
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum, auto
+from itertools import groupby
 
-from .script import WORD_CHARS, CharClass, classify
+from .script import WORD_CHARS, char_class
 
 
 class TokenKind(Enum):
@@ -24,17 +35,13 @@ class Token:
     end: int
 
 
-def _kind_of(ch: str) -> TokenKind:
-    if ch in WORD_CHARS:
-        return TokenKind.WORD
-    cls = classify(ch)
-    if cls is CharClass.SPACE:
-        return TokenKind.SPACE
-    if cls is CharClass.DIGIT:
-        return TokenKind.DIGITS
-    if cls is CharClass.PUNCT:
-        return TokenKind.PUNCT
-    return TokenKind.FOREIGN
+# Punctuation and symbols.  A character that is no word character,
+# whitespace or digit is PUNCT in one of these categories, else FOREIGN.
+_PUNCT_CATEGORIES = frozenset({"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Sm", "Sc", "Sk", "So"})
+_WORD = char_class(WORD_CHARS)
+_RUNS = re.compile(rf"([{_WORD}]+)|(\s+)|(\d+)|([^{_WORD}\s\d]+)")
+# The kind of each group of _RUNS; the last one is split by category.
+_GROUP_KINDS = (None, TokenKind.WORD, TokenKind.SPACE, TokenKind.DIGITS, None)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -44,13 +51,15 @@ def tokenize(text: str) -> list[Token]:
     joins an Arabic word token.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        kind = _kind_of(text[i])
-        j = i + 1
-        while j < n and _kind_of(text[j]) is kind:
-            j += 1
-        tokens.append(Token(kind, text[i:j], i, j))
-        i = j
+    for m in _RUNS.finditer(text):
+        kind = _GROUP_KINDS[m.lastindex]
+        if kind is not None:
+            tokens.append(Token(kind, m.group(), m.start(), m.end()))
+            continue
+        i = m.start()
+        categories = map(unicodedata.category, m.group())
+        for punct, run in groupby(categories, _PUNCT_CATEGORIES.__contains__):
+            j = i + len(list(run))
+            tokens.append(Token(TokenKind.PUNCT if punct else TokenKind.FOREIGN, text[i:j], i, j))
+            i = j
     return tokens

@@ -68,6 +68,15 @@ wide_text = st.text(
     max_size=40,
 )
 
+# 200k-character documents that a quadratic scan of one whitespace-free
+# run, or of all words against all findings, cannot finish in seconds.
+HOSTILE_SIZE = 200_000
+HOSTILE_DOCS = {
+    "no whitespace, already canonical": ("كتاب" * HOSTILE_SIZE)[:HOSTILE_SIZE],
+    "no whitespace, a rewrite in every cluster": ("بَّ" * HOSTILE_SIZE)[:HOSTILE_SIZE],
+    "latin only": (string.ascii_letters * HOSTILE_SIZE)[:HOSTILE_SIZE],
+}
+
 
 def random_word(rng: random.Random, min_len: int = 1, max_len: int = 6,
                 letters: list[str] | None = None, with_marks: bool = True) -> str:

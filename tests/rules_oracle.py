@@ -1,10 +1,11 @@
-"""The rule loop and the fix choice without the word memo or the bisect.
+"""The rule loop, the windows and the fix choice as they were first written.
 
-Kept as the oracle for ``nota.rules.run_rules`` and
-``nota.pipeline._select_nonoverlapping``: every enabled rule runs on
-every window, and each candidate fix is tested against every chosen one.
-The code is the implementation they replaced, unchanged except that
-``_select_nonoverlapping`` lost its leading underscore here.
+Kept as the oracle for ``nota.rules.run_rules``, ``nota.rules.windows``
+and ``nota.pipeline._select_nonoverlapping``: every enabled rule runs on
+every window, each word's neighbours are found by scanning over the
+space tokens around it, and each candidate fix is tested against every
+chosen one.  The code is the implementation they replaced, unchanged
+except that ``_select_nonoverlapping`` lost its leading underscore here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,30 @@ from typing import Mapping
 
 from nota.lexicon import Lexicon
 from nota.pipeline import _PRIORITY_INDEX
-from nota.rules import _RULES, DEFAULT_FUSED_PREPOSITIONS, RULE_PRIORITY, Diagnostic, windows
-from nota.tokenize import Token
+from nota.rules import _RULES, DEFAULT_FUSED_PREPOSITIONS, RULE_PRIORITY, Diagnostic, RuleWindow
+from nota.tokenize import Token, TokenKind
+
+
+def windows(tokens: list[Token]) -> list[RuleWindow]:
+    """Word tokens paired with their word neighbours across spaces only."""
+    out: list[RuleWindow] = []
+    for i, tok in enumerate(tokens):
+        if tok.kind is not TokenKind.WORD:
+            continue
+        prev_word = None
+        j = i - 1
+        while j >= 0 and tokens[j].kind is TokenKind.SPACE:
+            j -= 1
+        if j >= 0 and tokens[j].kind is TokenKind.WORD:
+            prev_word = tokens[j]
+        next_word = None
+        j = i + 1
+        while j < len(tokens) and tokens[j].kind is TokenKind.SPACE:
+            j += 1
+        if j < len(tokens) and tokens[j].kind is TokenKind.WORD:
+            next_word = tokens[j]
+        out.append(RuleWindow(tok, prev_word, next_word))
+    return out
 
 
 def run_rules(

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gen import HOSTILE_SIZE, lexicon_word_pool, random_text, wide_text
 from nota.corpus import collect_stats, file_stats, report_to_json
+from nota.pipeline import _lint
+from nota.tokenize import TokenKind
 
 
 def test_empty_directory(lex, config, tmp_path):
@@ -64,3 +72,25 @@ def test_clean_word_counting(lex, config):
     row = file_stats("x", "باش نمشي", lex, config)
     assert row.word_tokens == 2
     assert row.clean_words == 1  # باش is flagged, نمشي is clean
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=wide_text)
+def test_clean_words_match_the_pairwise_count(lex, config, seed, wide):
+    rng = random.Random(seed)
+    pool = lexicon_word_pool(lex)
+    text = "\n".join([random_text(rng, pool), wide, random_text(rng, pool)])
+    _, tokens, diagnostics = _lint(text, lex, config)
+    words = [t for t in tokens if t.kind is TokenKind.WORD]
+    expected = sum(
+        1 for w in words if not any(d.start < w.end and d.end > w.start for d in diagnostics)
+    )
+    assert file_stats("x", text, lex, config).clean_words == expected
+
+
+def test_clean_words_linear_on_hostile_sizes(lex, config):
+    n = HOSTILE_SIZE // len("كتابٌ ")
+    start = time.perf_counter()
+    row = file_stats("x", "كتابٌ " * n, lex, config)
+    assert time.perf_counter() - start < 5.0
+    assert (row.word_tokens, row.clean_words) == (n, 0)

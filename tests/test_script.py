@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import script_oracle
-from gen import wide_text
+from gen import HOSTILE_DOCS, wide_text
 from nota.script import (
     _PRESENTATION_FORMS,
     ALEF,
@@ -20,6 +21,7 @@ from nota.script import (
     TATWEEL,
     WORD_CHARS,
     ZWARAKAY,
+    Canonical,
     CharClass,
     Vowel,
     canonicalize,
@@ -182,3 +184,45 @@ def test_canonicalize_matches_oracle_exhaustively():
         for chars in product(CANON_ALPHABET, repeat=n):
             text = "".join(chars)
             assert canonicalize(text) == script_oracle.canonicalize(text), ascii(text)
+
+
+WHITESPACE = [ch for ch in map(chr, range(0x10000)) if ch.isspace()]
+any_soup = st.one_of(st.text(), arabic_soup, wide_text)
+
+
+@given(a=any_soup, ws=st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3), b=any_soup)
+def test_canonicalize_folds_each_side_of_whitespace_alone(a, ws, b):
+    """What lets canonicalize copy the runs it need not rewrite."""
+    left, right = canonicalize(a), canonicalize(b)
+    shift = len(a) + len(ws)
+    whole = canonicalize(a + ws + b)
+    assert whole == Canonical(
+        left.text + ws + right.text,
+        left.spans
+        + tuple((i, i + 1) for i in range(len(a), shift))
+        + tuple((s + shift, e + shift) for s, e in right.spans),
+    )
+    assert whole == script_oracle.canonicalize(a + ws + b)
+
+
+# Alef and the marks canonicalize moves, composes or drops, among
+# whitespace and the ligatures whose NFKC holds a space (ﷺ) or starts
+# with one (ﹰ: space + Fathatan).
+CANON_SPACE_ALPHABET = ALEF + FATHA + SHADDA + "\u0654" + TATWEEL + " \n\u00a0\ufdfa\ufe70"
+
+
+def test_canonicalize_matches_oracle_around_whitespace_exhaustively():
+    assert len(set(CANON_SPACE_ALPHABET)) == len(CANON_SPACE_ALPHABET) == 10
+    for n in range(5):
+        for chars in product(CANON_SPACE_ALPHABET, repeat=n):
+            text = "".join(chars)
+            assert canonicalize(text) == script_oracle.canonicalize(text), ascii(text)
+
+
+@pytest.mark.parametrize("name", HOSTILE_DOCS)
+def test_canonicalize_linear_on_hostile_sizes(name):
+    text = HOSTILE_DOCS[name]
+    start = time.perf_counter()
+    canon = canonicalize(text)
+    assert time.perf_counter() - start < 5.0
+    assert len(canon.spans) == len(canon.text)

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import time
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rules_oracle
+import tokenize_oracle
+from gen import HOSTILE_DOCS, wide_text
+from nota.rules import windows
 from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
 
@@ -74,3 +81,28 @@ def test_word_count_stable_under_stripping(text):
         return  # a mark-only word has no bare counterpart
     bare_words = [t for t in tokenize(skeleton(text)) if t.kind is TokenKind.WORD]
     assert len(bare_words) == len(words)
+
+
+def test_tokens_and_windows_match_oracles_on_every_code_point():
+    # Each code point once, in order.  Kinds do not depend on context, so
+    # equal tokens here mean an equal kind for every one-character string.
+    text = "".join(map(chr, range(0x110000)))
+    tokens = tokenize(text)
+    assert tokens == tokenize_oracle.tokenize(text)
+    assert windows(tokens) == rules_oracle.windows(tokens)
+
+
+@given(st.one_of(st.text(), mixed_text, wide_text))
+def test_tokens_and_windows_match_oracles(text):
+    tokens = tokenize(text)
+    assert tokens == tokenize_oracle.tokenize(text)
+    assert windows(tokens) == rules_oracle.windows(tokens)
+
+
+@pytest.mark.parametrize("name", HOSTILE_DOCS)
+def test_linear_on_hostile_sizes(name):
+    text = HOSTILE_DOCS[name]
+    start = time.perf_counter()
+    tokens = tokenize(text)
+    assert time.perf_counter() - start < 5.0
+    assert "".join(t.text for t in tokens) == text
