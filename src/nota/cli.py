@@ -27,12 +27,6 @@ from .rules import Severity
 from .script import VOWEL_MARKS
 from .translit import TranslitError, transliterate_line
 
-_SEVERITY_NAMES = {
-    Severity.ERROR: "error",
-    Severity.WARNING: "warning",
-    Severity.INFO: "info",
-}
-
 
 class CliError(Exception):
     pass
@@ -99,7 +93,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
                     {
                         "file": display,
                         "rule": d.rule,
-                        "severity": _SEVERITY_NAMES[d.severity],
+                        "severity": d.severity.name.lower(),
                         "start": d.start,
                         "end": d.end,
                         "message": d.message,
@@ -109,7 +103,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
             else:
                 suffix = f" -> {d.replacement}" if d.replacement else ""
                 print(
-                    f"{display}:{d.start}-{d.end}: {_SEVERITY_NAMES[d.severity]}"
+                    f"{display}:{d.start}-{d.end}: {d.severity.name.lower()}"
                     f" {d.rule}: {d.message}{suffix}"
                 )
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .lexicon import ROLES
 from .rules import DEFAULT_FUSED_PREPOSITIONS, RULE_IDS
 
 
@@ -48,7 +49,6 @@ DEFAULT_CONFIG = Config()
 
 _SECTIONS = {"rules", "pipeline", "lexicon", "tables"}
 _TABLES = {"variant_map", "fused_prepositions", "vowel_similarity"}
-_LEXICON_ROLES = {"verbs", "prepositions", "known_words", "variant_map", "gaf_words"}
 
 
 def _require_str_mapping(obj: object, where: str) -> dict[str, str]:
@@ -83,7 +83,7 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
         raise ConfigError("pipeline.max_passes must be a positive integer")
 
     lexicon = doc.get("lexicon") or {}
-    unknown = set(lexicon) - _LEXICON_ROLES
+    unknown = set(lexicon) - set(ROLES)
     if unknown:
         raise ConfigError(f"unknown lexicon roles in config: {sorted(unknown)}")
     lexicon_paths = {}

@@ -17,9 +17,10 @@ pronoun rule flags a genuinely ambiguous reading and is never applied).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .lexicon import Lexicon
 from .script import (
@@ -32,7 +33,7 @@ from .script import (
     TEH,
     WAW,
     ZWARAKAY,
-    iter_clusters,
+    char_class,
     skeleton,
 )
 from .tokenize import Token, TokenKind
@@ -66,8 +67,7 @@ class Diagnostic:
     replacement: str | None = None
 
 
-@dataclass(frozen=True)
-class RuleWindow:
+class RuleWindow(NamedTuple):
     """A word token with its neighbouring word tokens (across spaces only)."""
 
     word: Token
@@ -88,6 +88,15 @@ def derive_imperative(present_2sg: str) -> str:
 
 def _letter_offsets(text: str) -> list[int]:
     return [i for i, ch in enumerate(text) if ch not in ARABIC_MARKS]
+
+
+_MARK_CHARS = "".join(sorted(ARABIC_MARKS))
+_MARKS = char_class(ARABIC_MARKS)
+# R-VOW's findings, one character each: a Kasra before Alef, or a mark
+# NOTA does not use.
+_BAD_VOWEL = re.compile(f"{KASRA}(?={ALEF})|[{char_class(ARABIC_MARKS - NOTA_MARKS)}]")
+# ال at the start of a word, each letter with whatever marks follow it.
+_ARTICLE = re.compile(f"{ALEF}[{_MARKS}]*{LAM}[{_MARKS}]*")
 
 
 def _respell(word_text: str, bare_to: str) -> str:
@@ -148,49 +157,27 @@ def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     """R-VOW: long /ɛ/ is Zwarakay+Alef, and only the four vowel marks exist."""
     word = window.word
     out: list[Diagnostic] = []
-    text = word.text
-    for i, ch in enumerate(text):
-        if ch == KASRA and i + 1 < len(text) and text[i + 1] == ALEF:
-            out.append(
-                Diagnostic(
-                    "R-VOW",
-                    word.start + i,
-                    word.start + i + 1,
-                    Severity.ERROR,
-                    "long /ɛ/ written Kasra+Alef; use Zwarakay+Alef",
-                    ZWARAKAY,
-                )
-            )
-        elif ch in ARABIC_MARKS and ch not in NOTA_MARKS:
-            out.append(
-                Diagnostic(
-                    "R-VOW",
-                    word.start + i,
-                    word.start + i + 1,
-                    Severity.ERROR,
-                    f"non-NOTA diacritic U+{ord(ch):04X}",
-                    "",
-                )
-            )
+    for m in _BAD_VOWEL.finditer(word.text):
+        ch, i = m.group(), word.start + m.start()
+        if ch == KASRA:
+            message, replacement = "long /ɛ/ written Kasra+Alef; use Zwarakay+Alef", ZWARAKAY
+        else:
+            message, replacement = f"non-NOTA diacritic U+{ord(ch):04X}", ""
+        out.append(Diagnostic("R-VOW", i, i + 1, Severity.ERROR, message, replacement))
     return out
 
 
 def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-ART: the definite article ال carries no diacritics."""
     word = window.word
-    clusters = iter_clusters(word.text)
-    if len(clusters) < 2:
-        return []
-    first, second = clusters[0], clusters[1]
-    if first.base != ALEF or second.base != LAM:
-        return []
-    if not first.marks and not second.marks:
+    m = _ARTICLE.match(word.text)
+    if m is None or m.end() == 2:
         return []
     return [
         Diagnostic(
             "R-ART",
             word.start,
-            word.start + second.end,
+            word.start + m.end(),
             Severity.ERROR,
             "definite article is written without diacritics",
             ALEF + LAM,
@@ -204,7 +191,7 @@ def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     bare = skeleton(word.text)
     if not bare or bare[-1] not in (ALEF, ALEF_MAQSURA):
         return []
-    pos = _letter_offsets(word.text)[-1]
+    pos = len(word.text.rstrip(_MARK_CHARS)) - 1
     span = (word.start + pos, word.start + pos + 1)
     entry = lex.lookup_citation_folded(bare)
     if entry is not None:
@@ -293,6 +280,9 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     """
     word = window.word
     bare = skeleton(word.text)
+    # Each candidate below is ``bare`` or its tail, so ends as ``bare`` does.
+    if not bare.endswith("وش"):
+        return []
     prev = window.prev_word
     prev_bare = skeleton(prev.text) if prev is not None else None
 
@@ -330,10 +320,8 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
             return True
         return len(s) > 2 and s.startswith(ALEF + LAM) and s[2:] in lex.known_words
 
-    offsets = _letter_offsets(word.text)
-
     def split_after(n_letters: int) -> str:
-        k = offsets[n_letters]
+        k = _letter_offsets(word.text)[n_letters]
         return word.text[:k] + " " + word.text[k:]
 
     def diag(message: str, replacement: str) -> list[Diagnostic]:
@@ -341,15 +329,19 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
             Diagnostic("R-SEP", word.start, word.end, Severity.WARNING, message, replacement)
         ]
 
-    for fused_form in sorted(fused, key=len, reverse=True):
-        if bare.startswith(fused_form) and len(bare) > len(fused_form):
-            rest = bare[len(fused_form):]
-            if rest in lex.known_words:
-                k = offsets[len(fused_form)]
-                return diag(
-                    f"fused preposition; write {fused[fused_form]} separately",
-                    fused[fused_form] + word.text[k:],
-                )
+    # The longest fused form that leaves a known word; the first listed wins a tie.
+    known = lex.known_words
+    fused_form = max(
+        (f for f in fused if len(bare) > len(f) and bare.startswith(f) and bare[len(f):] in known),
+        key=len,
+        default=None,
+    )
+    if fused_form is not None:
+        k = _letter_offsets(word.text)[len(fused_form)]
+        return diag(
+            f"fused preposition; write {fused[fused_form]} separately",
+            fused[fused_form] + word.text[k:],
+        )
     for prep in lex._prepositions_longest_first:
         if len(prep) >= 2 and bare.startswith(prep) and len(bare) > len(prep):
             if known_or_definite(bare[len(prep):]):

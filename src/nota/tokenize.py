@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum, auto
 from itertools import groupby
+from typing import NamedTuple
 
 from .script import WORD_CHARS, char_class
 
@@ -27,8 +27,7 @@ class TokenKind(Enum):
     DIGITS = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     start: int

@@ -1,11 +1,15 @@
-"""The rule loop, the windows and the fix choice as they were first written.
+"""The rule loop, the windows, the fix choice and five rule bodies as they
+were first written.
 
 Kept as the oracle for ``nota.rules.run_rules``, ``nota.rules.windows``
 and ``nota.pipeline._select_nonoverlapping``: every enabled rule runs on
 every window, each word's neighbours are found by scanning over the
 space tokens around it, and each candidate fix is tested against every
-chosen one.  The code is the implementation they replaced, unchanged
-except that ``_select_nonoverlapping`` lost its leading underscore here.
+chosen one.  It is also the oracle for ``rule_vow``, ``rule_art``,
+``rule_amq``, ``rule_pron`` and ``rule_sep``, which walked their word one
+character or one cluster at a time and sorted the fused map on every
+call.  The code is the implementation they replaced, unchanged except
+that ``_select_nonoverlapping`` lost its leading underscore here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,26 @@ from typing import Mapping
 
 from nota.lexicon import Lexicon
 from nota.pipeline import _PRIORITY_INDEX
-from nota.rules import _RULES, DEFAULT_FUSED_PREPOSITIONS, RULE_PRIORITY, Diagnostic, RuleWindow
+from nota.rules import (
+    _RULES,
+    DEFAULT_FUSED_PREPOSITIONS,
+    RULE_PRIORITY,
+    Diagnostic,
+    RuleWindow,
+    Severity,
+)
+from nota.script import (
+    ALEF,
+    ALEF_MAQSURA,
+    ARABIC_MARKS,
+    KASRA,
+    LAM,
+    NOTA_MARKS,
+    WAW,
+    ZWARAKAY,
+    iter_clusters,
+    skeleton,
+)
 from nota.tokenize import Token, TokenKind
 
 
@@ -66,3 +89,190 @@ def select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
         if all(d.end <= c.start or d.start >= c.end for c in chosen):
             chosen.append(d)
     return chosen
+
+
+# --- rule bodies ---------------------------------------------------------
+
+
+def _letter_offsets(text: str) -> list[int]:
+    return [i for i, ch in enumerate(text) if ch not in ARABIC_MARKS]
+
+
+def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+    """R-VOW: long /ɛ/ is Zwarakay+Alef, and only the four vowel marks exist."""
+    word = window.word
+    out: list[Diagnostic] = []
+    text = word.text
+    for i, ch in enumerate(text):
+        if ch == KASRA and i + 1 < len(text) and text[i + 1] == ALEF:
+            out.append(
+                Diagnostic(
+                    "R-VOW",
+                    word.start + i,
+                    word.start + i + 1,
+                    Severity.ERROR,
+                    "long /ɛ/ written Kasra+Alef; use Zwarakay+Alef",
+                    ZWARAKAY,
+                )
+            )
+        elif ch in ARABIC_MARKS and ch not in NOTA_MARKS:
+            out.append(
+                Diagnostic(
+                    "R-VOW",
+                    word.start + i,
+                    word.start + i + 1,
+                    Severity.ERROR,
+                    f"non-NOTA diacritic U+{ord(ch):04X}",
+                    "",
+                )
+            )
+    return out
+
+
+def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+    """R-ART: the definite article ال carries no diacritics."""
+    word = window.word
+    clusters = iter_clusters(word.text)
+    if len(clusters) < 2:
+        return []
+    first, second = clusters[0], clusters[1]
+    if first.base != ALEF or second.base != LAM:
+        return []
+    if not first.marks and not second.marks:
+        return []
+    return [
+        Diagnostic(
+            "R-ART",
+            word.start,
+            word.start + second.end,
+            Severity.ERROR,
+            "definite article is written without diacritics",
+            ALEF + LAM,
+        )
+    ]
+
+
+def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+    """R-AMQ: final ى iff the verb's present 3sg ends in long /i/, else ا."""
+    word = window.word
+    bare = skeleton(word.text)
+    if not bare or bare[-1] not in (ALEF, ALEF_MAQSURA):
+        return []
+    pos = _letter_offsets(word.text)[-1]
+    span = (word.start + pos, word.start + pos + 1)
+    entry = lex.lookup_citation_folded(bare)
+    if entry is not None:
+        expected = ALEF_MAQSURA if entry.present_ends_long_i else ALEF
+        if bare[-1] == expected:
+            return []
+        why = "ends in long /i/" if entry.present_ends_long_i else "does not end in long /i/"
+        return [
+            Diagnostic(
+                "R-AMQ",
+                *span,
+                Severity.WARNING,
+                f"present form {entry.present_3sg} {why}; final letter should be {expected}",
+                expected,
+            )
+        ]
+    if bare in lex.known_words:
+        return []
+    listed = lex.known_spelling_for(bare)
+    if listed is not None and listed != bare:
+        return [
+            Diagnostic(
+                "R-AMQ",
+                *span,
+                Severity.WARNING,
+                f"listed spelling is {listed}",
+                listed[-1],
+            )
+        ]
+    return [
+        Diagnostic(
+            "R-AMQ",
+            *span,
+            Severity.INFO,
+            "final-vowel spelling unverified (word not in lexicon)",
+            None,
+        )
+    ]
+
+
+def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+    """R-PRON: negated verb + وش may hide an object pronoun; suggest هو.
+
+    The sentence is genuinely ambiguous, so this is informational only.
+    """
+    word = window.word
+    bare = skeleton(word.text)
+    prev = window.prev_word
+    prev_bare = skeleton(prev.text) if prev is not None else None
+
+    candidates: list[tuple[str, str]] = []
+    if prev_bare in ("ما", "م"):
+        candidates.append((bare, ""))
+    if bare.startswith("م") and len(bare) > 1:
+        candidates.append((bare[1:], "م"))
+
+    for cand, prefix in candidates:
+        if len(cand) > 2 and cand.endswith("وش") and lex.is_citation(cand[:-2]):
+            suggestion = prefix + cand[:-2] + "هوش"
+            return [
+                Diagnostic(
+                    "R-PRON",
+                    word.start,
+                    word.end,
+                    Severity.INFO,
+                    "negated verb may hide an object pronoun; هو makes it explicit",
+                    suggestion,
+                )
+            ]
+    return []
+
+
+def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+    """R-SEP: prepositions and the conjunction و stay separate words."""
+    word = window.word
+    bare = skeleton(word.text)
+    if len(bare) < 2 or bare in lex.known_words or bare in lex.prepositions:
+        return []
+
+    def known_or_definite(s: str) -> bool:
+        if s in lex.known_words:
+            return True
+        return len(s) > 2 and s.startswith(ALEF + LAM) and s[2:] in lex.known_words
+
+    offsets = _letter_offsets(word.text)
+
+    def split_after(n_letters: int) -> str:
+        k = offsets[n_letters]
+        return word.text[:k] + " " + word.text[k:]
+
+    def diag(message: str, replacement: str) -> list[Diagnostic]:
+        return [
+            Diagnostic("R-SEP", word.start, word.end, Severity.WARNING, message, replacement)
+        ]
+
+    for fused_form in sorted(fused, key=len, reverse=True):
+        if bare.startswith(fused_form) and len(bare) > len(fused_form):
+            rest = bare[len(fused_form):]
+            if rest in lex.known_words:
+                k = offsets[len(fused_form)]
+                return diag(
+                    f"fused preposition; write {fused[fused_form]} separately",
+                    fused[fused_form] + word.text[k:],
+                )
+    for prep in lex._prepositions_longest_first:
+        if len(prep) >= 2 and bare.startswith(prep) and len(bare) > len(prep):
+            if known_or_definite(bare[len(prep):]):
+                return diag(
+                    f"preposition {prep} is written separate from the noun",
+                    split_after(len(prep)),
+                )
+    if bare[0] == WAW and known_or_definite(bare[1:]):
+        return diag(
+            "the conjunction و is written separate from the following word",
+            split_after(1),
+        )
+    return []

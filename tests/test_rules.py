@@ -13,6 +13,7 @@ from nota.rules import (
     _RULES,
     _WORD_MEMO_CAP,
     _WORD_RULES,
+    DEFAULT_FUSED_PREPOSITIONS,
     RULE_IDS,
     RULE_PRIORITY,
     NotSecondPersonError,
@@ -22,7 +23,7 @@ from nota.rules import (
     run_rules,
     windows,
 )
-from nota.script import canonicalize
+from nota.script import ARABIC_MARKS, canonicalize
 from nota.tokenize import TokenKind, tokenize
 
 # Convenience glyph names for readability.
@@ -445,3 +446,94 @@ def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
             expected = rule(alone, lexicon, fused)
             assert rule(window, lexicon, fused) == expected, rid
             assert rule(other, lexicon, fused) == expected, rid
+
+
+# --- the rule bodies against their oracle ------------------------------------
+
+ORACLE_RULES = {
+    "R-VOW": rules_oracle.rule_vow,
+    "R-ART": rules_oracle.rule_art,
+    "R-AMQ": rules_oracle.rule_amq,
+    "R-PRON": rules_oracle.rule_pron,
+    "R-SEP": rules_oracle.rule_sep,
+}
+
+# Fused maps that order R-SEP's choice: forms of equal length, a form that
+# is a prefix of another (in both orders), an empty form, diacritized forms.
+ORACLE_FUSED_MAPS = [
+    DEFAULT_FUSED_PREPOSITIONS,
+    {},
+    {"فال": "في ال", "مال": "من ال", "عال": "على ال", "وال": "و ال"},
+    {"ف": "في ", "فال": "في ال"},
+    {"فال": "في ال", "ف": "في "},
+    {"": "ال", "فال": "في ال"},
+    {"فَال": "فِي ال", "فال": "فِي ال", "فِي": "في"},
+]
+
+# Words whose letters the five rules read at an edge.
+ODD_WORDS = [
+    "َب",          # a leading mark
+    "ًٌ",          # marks only
+    "بِ",          # Kasra at the end
+    "اَلْ",        # the article alone, with marks
+    "ال",          # the article alone, bare
+    "الدار",       # the article, bare
+    "اًّلُّدار",    # two marks on each letter of the article
+    "اِ",          # Alef and a mark, no Lam
+    "اًلٍا",       # non-NOTA marks on the article
+    "ِا",          # Kasra before Alef with no base
+    "ما",
+    "وش",
+    "موش",
+]
+
+
+def _bait(rng: random.Random, lex) -> str:
+    """A word built to reach deep into R-ART, R-SEP or R-PRON for this lexicon."""
+    known = sorted(lex.known_words)
+    citation = rng.choice(sorted(lex.verbs))
+    return rng.choice([
+        rng.choice(["فال", "مال", "عال", "ف", "وال", "فَال"]) + rng.choice(known),
+        rng.choice(sorted(lex.prepositions)) + rng.choice(["", "ال"]) + rng.choice(known),
+        "و" + rng.choice(["", "َ", "ال"]) + rng.choice(known),
+        "ا" + rng.choice(["", "َ", "ًّ"]) + "ل" + rng.choice(["", "ْ", "ُّ"]) + rng.choice(known),
+        "ما " + citation + "وش",
+        "م" + citation + "وش",
+        "م" + citation + "ُوشْ",
+    ])
+
+
+def _assert_rules_match_oracle(text: str, lexicon, fused) -> None:
+    for window in windows(tokenize(text)):
+        for rid, oracle in ORACLE_RULES.items():
+            assert _RULES[rid](window, lexicon, fused) == oracle(window, lexicon, fused), (rid, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=wide_text,
+    synthetic=st.booleans(),
+    fused=st.sampled_from(ORACLE_FUSED_MAPS),
+)
+def test_rules_match_oracle(lex, seed, wide, synthetic, fused):
+    lexicon = SYNTHETIC if synthetic else lex
+    rng = random.Random(seed)
+    pool = lexicon_word_pool(lexicon)
+    words = [random_text(rng, pool), wide, *(_bait(rng, lexicon) for _ in range(3))]
+    _assert_rules_match_oracle(" ".join(words), lexicon, fused)
+
+
+@pytest.mark.parametrize("word", ODD_WORDS)
+@pytest.mark.parametrize("fused", ORACLE_FUSED_MAPS)
+def test_rules_match_oracle_on_odd_words(lex, word, fused):
+    for lexicon in (lex, SYNTHETIC):
+        for prev in ("", "ما ", "مَا "):
+            _assert_rules_match_oracle(prev + word, lexicon, fused)
+
+
+def test_rules_match_oracle_on_every_mark(lex):
+    # Each Arabic mark after each letter of ال, in the middle and at the end.
+    text = " ".join(f"ا{m}ل{m}ب{m}ا{m}" for m in sorted(ARABIC_MARKS))
+    for fused in ORACLE_FUSED_MAPS[:2]:
+        _assert_rules_match_oracle(text, lex, fused)

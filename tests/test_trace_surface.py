@@ -1,0 +1,87 @@
+"""The names and signatures that the traced benchmark run binds.
+
+``bench/tracer.py`` rebinds ``canonicalize``, ``tokenize``, ``run_rules``
+and ``file_stats`` on the modules that call them, and replays
+``windows(tokens)`` and every ``rule_<id>(window, lex, fused)`` with the
+arguments it reads off each ``run_rules`` call.  A refactor that renames,
+reshapes or stops calling any of them breaks ``bench/run.py --trace 1``;
+these tests make it fail the unit suite as well.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+import nota.corpus
+import nota.pipeline
+import nota.rules
+import nota.script
+import nota.tokenize
+from nota.pipeline import Mode, normalize
+from nota.rules import RULE_PRIORITY, RuleWindow, windows
+from nota.tokenize import TokenKind, tokenize
+
+LAYERS = {
+    "canonicalize": nota.script.canonicalize,
+    "tokenize": nota.tokenize.tokenize,
+    "run_rules": nota.rules.run_rules,
+}
+
+
+def _params(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+def _counting(monkeypatch, module, name: str) -> list[int]:
+    calls: list[int] = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("module", [nota.pipeline, nota.corpus])
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_layer_functions_are_module_globals(module, name):
+    assert getattr(module, name) is LAYERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS))
+def test_normalize_calls_each_layer_through_pipeline(monkeypatch, lex, name):
+    calls = _counting(monkeypatch, nota.pipeline, name)
+    normalize("باش نمشي", lex, mode=Mode.FIX)
+    assert calls
+
+
+def test_collect_stats_calls_file_stats_through_corpus(monkeypatch, lex, tmp_path):
+    (tmp_path / "a.txt").write_text("باش نمشي\n", encoding="utf-8")
+    calls = _counting(monkeypatch, nota.corpus, "file_stats")
+    nota.corpus.collect_stats(tmp_path, lex)
+    assert calls
+
+
+def test_run_rules_parameter_names():
+    assert _params(nota.rules.run_rules) == ["tokens", "lex", "enabled", "fused_prepositions"]
+
+
+@pytest.mark.parametrize("rid", RULE_PRIORITY)
+def test_each_rule_has_a_rule_function(lex, rid):
+    rule = getattr(nota.rules, "rule_" + rid[2:].lower())
+    assert _params(rule) == ["window", "lex", "fused"]
+    found = rule(windows(tokenize("ما كلموش"))[-1], lex, nota.rules.DEFAULT_FUSED_PREPOSITIONS)
+    assert isinstance(found, list)
+
+
+def test_windows_takes_tokens():
+    assert _params(windows) == ["tokens"]
+    tokens = tokenize("باش نمشي.")
+    assert [t.kind for t in tokens][:1] == [TokenKind.WORD]
+    found = windows(tokens)
+    assert all(isinstance(w, RuleWindow) for w in found)
+    assert [w.word.text for w in found] == ["باش", "نمشي"]
