@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .script import (
-    LETTER_SET,
-    NOTA_MARKS,
-    SHADDA,
-    SUKUN,
-    VOWEL_OF_MARK,
-    Vowel,
-    iter_clusters,
-)
+from .script import ARABIC_MARKS, LETTER_SET, NOTA_MARKS, SHADDA, SUKUN, VOWEL_OF_MARK, Vowel
 
 
 class GraphemeError(ValueError):
@@ -65,34 +57,35 @@ def parse_graphemes(word: str) -> tuple[Grapheme, ...]:
     error's position is the first offending index.
     """
     out: list[Grapheme] = []
-    for cluster in iter_clusters(word):
-        base = cluster.base
-        if base is not None and base not in LETTER_SET:
-            raise UnsupportedCharacterError(
-                f"character {base!r} outside the inventory", cluster.start
-            )
-        shadda = sukun = False
-        vowel: Vowel | None = None
-        for i, ch in enumerate(cluster.marks, start=cluster.end - len(cluster.marks)):
-            if ch not in NOTA_MARKS:
+    base: str | None = None  # the letter the marks read so far attach to
+    shadda = sukun = False
+    vowel: Vowel | None = None
+    for i, ch in enumerate(word):
+        if ch not in ARABIC_MARKS:
+            if ch not in LETTER_SET:
                 raise UnsupportedCharacterError(f"character {ch!r} outside the inventory", i)
-            if base is None:
-                name = _LEADING_NAMES.get(ch, "vowel mark")
-                raise LeadingDiacriticError(f"{name} with no base letter", i)
-            if ch == SHADDA:
-                shadda = True
-            elif ch == SUKUN:
-                if vowel is not None:
-                    raise VowelWithSukunError("sukun on a voweled letter", i)
-                sukun = True
-            else:
-                if vowel is not None:
-                    raise DuplicateVowelError("second vowel mark on one letter", i)
-                if sukun:
-                    raise VowelWithSukunError("vowel mark on a sukun letter", i)
-                vowel = VOWEL_OF_MARK[ch]
-        if base is not None:
-            out.append(Grapheme(base, shadda=shadda, sukun=sukun, vowel=vowel))
+            if base is not None:
+                out.append(Grapheme(base, shadda, sukun, vowel))
+            base, shadda, sukun, vowel = ch, False, False, None
+        elif ch not in NOTA_MARKS:
+            raise UnsupportedCharacterError(f"character {ch!r} outside the inventory", i)
+        elif base is None:
+            name = _LEADING_NAMES.get(ch, "vowel mark")
+            raise LeadingDiacriticError(f"{name} with no base letter", i)
+        elif ch == SHADDA:
+            shadda = True
+        elif ch == SUKUN:
+            if vowel is not None:
+                raise VowelWithSukunError("sukun on a voweled letter", i)
+            sukun = True
+        else:
+            if vowel is not None:
+                raise DuplicateVowelError("second vowel mark on one letter", i)
+            if sukun:
+                raise VowelWithSukunError("vowel mark on a sukun letter", i)
+            vowel = VOWEL_OF_MARK[ch]
+    if base is not None:
+        out.append(Grapheme(base, shadda, sukun, vowel))
     return tuple(out)
 
 

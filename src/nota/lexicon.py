@@ -1,6 +1,6 @@
 """Lexical resources backing the lexicon-gated rules.
 
-Four TSV resources (UTF-8, no header, '#' comments):
+Five TSV resources (UTF-8, no header, '#' comments), one per role:
 
   verbs.tsv        citation, present-3sg, ends-long-i (0/1),
                    present-2sg (optional), irregular-imperative (optional)
@@ -10,14 +10,17 @@ Four TSV resources (UTF-8, no header, '#' comments):
   gaf_words.tsv    word spelled with ق, respelling with ڨ
 
 Loading validates everything up front; a loaded Lexicon is immutable and
-safe to share. Its one mutable part is a bounded per-word cache of rule
-results that ``rules.run_rules`` keeps on it; a new Lexicon, including
-one made by ``dataclasses.replace``, starts with an empty cache.
+safe to share. Its fields are the five resources; the indexes its
+queries use are cached properties, built on first use. Its one mutable
+part is a bounded per-word cache of rule results that ``rules.run_rules``
+keeps on it; a new Lexicon, including one made by ``dataclasses.replace``,
+starts with an empty cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -38,9 +41,6 @@ class LexiconError(Exception):
 class LexiconParseError(LexiconError):
     def __init__(self, source: str, line: int, reason: str):
         super().__init__(f"{source}:{line}: {reason}")
-        self.source = source
-        self.line = line
-        self.reason = reason
 
 
 class DuplicateEntryError(LexiconError):
@@ -75,44 +75,46 @@ class Lexicon:
     variant_map: Mapping[str, str]
     gaf_words: Mapping[str, str]
 
-    # Derived indexes, built once at construction.
-    _citation_folded: dict[str, VerbEntry] = field(default_factory=dict, repr=False)
-    _present_stems: frozenset[str] = field(default=frozenset(), repr=False)
-    _present_forms: frozenset[str] = field(default=frozenset(), repr=False)
-    _irregulars: dict[str, VerbEntry] = field(default_factory=dict, repr=False)
-    _known_folded: dict[str, str] = field(default_factory=dict, repr=False)
-    _prepositions_longest_first: tuple[str, ...] = field(default=(), repr=False)
-    # Word-local rule results, {config key: {word text: diagnostics}}; see
-    # rules.run_rules.  Not an init field, so replace() never copies it.
-    _rule_memo: dict = field(init=False, repr=False, compare=False)
+    # --- indexes derived from the resources, built on first use ---------
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _citation_folded(self) -> dict[str, VerbEntry]:
         folded: dict[str, VerbEntry] = {}
-        stems: set[str] = set()
-        presents: set[str] = set()
-        irregulars: dict[str, VerbEntry] = {}
         for entry in self.verbs.values():
             folded.setdefault(fold_final_alef(entry.citation), entry)
-            presents.add(entry.present_3sg)
+        return folded
+
+    @cached_property
+    def _present_forms(self) -> frozenset[str]:
+        presents = {e.present_3sg for e in self.verbs.values()}
+        presents.update(e.present_2sg for e in self.verbs.values() if e.present_2sg)
+        return frozenset(presents)
+
+    @cached_property
+    def _present_stems(self) -> frozenset[str]:
+        stems = set()
+        for entry in self.verbs.values():
             if entry.present_3sg.startswith(_IMPERFECTIVE_PREFIXES):
                 stems.add(entry.present_3sg[1:])
-            if entry.present_2sg:
-                presents.add(entry.present_2sg)
-                if entry.present_2sg.startswith(TEH):
-                    stems.add(entry.present_2sg[1:])
-            if entry.irregular_imperative:
-                irregulars[entry.irregular_imperative] = entry
-        known_folded = {}
+            if entry.present_2sg and entry.present_2sg.startswith(TEH):
+                stems.add(entry.present_2sg[1:])
+        return frozenset(stems)
+
+    @cached_property
+    def _irregulars(self) -> dict[str, VerbEntry]:
+        return {e.irregular_imperative: e for e in self.verbs.values() if e.irregular_imperative}
+
+    @cached_property
+    def _known_folded(self) -> dict[str, str]:
+        folded: dict[str, str] = {}
         for w in sorted(self.known_words):
-            known_folded.setdefault(fold_final_alef(w), w)
-        object.__setattr__(self, "_citation_folded", folded)
-        object.__setattr__(self, "_present_stems", frozenset(stems))
-        object.__setattr__(self, "_present_forms", frozenset(presents))
-        object.__setattr__(self, "_irregulars", irregulars)
-        object.__setattr__(self, "_known_folded", known_folded)
-        longest_first = tuple(sorted(self.prepositions, key=lambda w: (-len(w), w)))
-        object.__setattr__(self, "_prepositions_longest_first", longest_first)
-        object.__setattr__(self, "_rule_memo", {})
+            folded.setdefault(fold_final_alef(w), w)
+        return folded
+
+    @cached_property
+    def _rule_memo(self) -> dict:
+        """Word-local rule results, {config key: {word text: diagnostics}}, of rules.run_rules."""
+        return {}
 
     # --- queries (all take surface words, diacritics tolerated) ---------
 

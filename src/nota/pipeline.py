@@ -10,7 +10,7 @@ original input; the applied rewrites are recorded in a fix trace.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, auto
 
 from .config import Config, ConfigError, DEFAULT_CONFIG
@@ -113,7 +113,7 @@ def normalize(
     reported = []
     for d in first_pass:
         start, end = canon.to_original(d.start, d.end)
-        reported.append(replace(d, start=start, end=end))
+        reported.append(Diagnostic(d.rule, start, end, d.severity, d.message, d.replacement))
     reported = tuple(reported)
 
     if mode is not Mode.FIX:

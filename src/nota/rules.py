@@ -86,10 +86,6 @@ def derive_imperative(present_2sg: str) -> str:
     return present_2sg[1:]
 
 
-def _letter_offsets(text: str) -> list[int]:
-    return [i for i, ch in enumerate(text) if ch not in ARABIC_MARKS]
-
-
 _MARK_CHARS = "".join(sorted(ARABIC_MARKS))
 _MARKS = char_class(ARABIC_MARKS)
 # R-VOW's findings, one character each: a Kasra before Alef, or a mark
@@ -293,7 +289,7 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
         candidates.append((bare[1:], "م"))
 
     for cand, prefix in candidates:
-        if len(cand) > 2 and cand.endswith("وش") and lex.is_citation(cand[:-2]):
+        if len(cand) > 2 and lex.is_citation(cand[:-2]):
             suggestion = prefix + cand[:-2] + "هوش"
             return [
                 Diagnostic(
@@ -312,49 +308,34 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     """R-SEP: prepositions and the conjunction و stay separate words."""
     word = window.word
     bare = skeleton(word.text)
-    if len(bare) < 2 or bare in lex.known_words or bare in lex.prepositions:
-        return []
-
-    def known_or_definite(s: str) -> bool:
-        if s in lex.known_words:
-            return True
-        return len(s) > 2 and s.startswith(ALEF + LAM) and s[2:] in lex.known_words
-
-    def split_after(n_letters: int) -> str:
-        k = _letter_offsets(word.text)[n_letters]
-        return word.text[:k] + " " + word.text[k:]
-
-    def diag(message: str, replacement: str) -> list[Diagnostic]:
-        return [
-            Diagnostic("R-SEP", word.start, word.end, Severity.WARNING, message, replacement)
-        ]
-
-    # The longest fused form that leaves a known word; the first listed wins a tie.
     known = lex.known_words
-    fused_form = max(
-        (f for f in fused if len(bare) > len(f) and bare.startswith(f) and bare[len(f):] in known),
-        key=len,
-        default=None,
-    )
-    if fused_form is not None:
-        k = _letter_offsets(word.text)[len(fused_form)]
-        return diag(
-            f"fused preposition; write {fused[fused_form]} separately",
-            fused[fused_form] + word.text[k:],
-        )
-    for prep in lex._prepositions_longest_first:
-        if len(prep) >= 2 and bare.startswith(prep) and len(bare) > len(prep):
-            if known_or_definite(bare[len(prep):]):
-                return diag(
-                    f"preposition {prep} is written separate from the noun",
-                    split_after(len(prep)),
-                )
-    if bare[0] == WAW and known_or_definite(bare[1:]):
-        return diag(
-            "the conjunction و is written separate from the following word",
-            split_after(1),
-        )
+    if len(bare) < 2 or bare in known or bare in lex.prepositions:
+        return []
+    # A word has one prefix of each length, so looking its prefixes up,
+    # longest first, finds the longest listed form that applies.
+    for n in range(len(bare) - 1, 0, -1):
+        if bare[:n] in fused and bare[n:] in known:
+            expanded = fused[bare[:n]]
+            return _split(word, n, f"fused preposition; write {expanded} separately", expanded)
+    for n in range(len(bare) - 1, 0, -1):
+        head, rest = bare[:n], bare[n:]
+        if n > 1 and head in lex.prepositions:
+            message = f"preposition {head} is written separate from the noun"
+        elif head == WAW:
+            message = "the conjunction و is written separate from the following word"
+        else:
+            continue
+        if rest in known or len(rest) > 2 and rest.startswith(ALEF + LAM) and rest[2:] in known:
+            return _split(word, n, message)
     return []
+
+
+def _split(word: Token, n_letters: int, message: str, head: str | None = None) -> list[Diagnostic]:
+    """R-SEP's finding: a space after the word's first ``n_letters`` letters,
+    or those letters replaced by ``head``; marks stay with their letter."""
+    k = [i for i, ch in enumerate(word.text) if ch not in ARABIC_MARKS][n_letters]
+    replacement = (word.text[:k] + " " if head is None else head) + word.text[k:]
+    return [Diagnostic("R-SEP", word.start, word.end, Severity.WARNING, message, replacement)]
 
 
 _RULES: Mapping[str, Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Diagnostic]]] = {
@@ -401,10 +382,10 @@ def run_rules(
 ) -> list[Diagnostic]:
     """Run the enabled rules over all word windows, in deterministic order.
 
-    The word-local rules run once per distinct word text.  Their findings,
-    relative to the word start, are kept on ``lex`` for this rule set and
-    fused map, at most ``_WORD_MEMO_CAP`` words; another rule set or fused
-    map empties the memo.
+    The word-local rules run once per distinct word text, on the word
+    alone at offset 0.  Their findings are kept on ``lex`` for this rule
+    set and fused map, at most ``_WORD_MEMO_CAP`` words, and shifted to
+    each window's word; another rule set or fused map empties the memo.
     """
     fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
     active = [
@@ -420,18 +401,15 @@ def run_rules(
     out: list[Diagnostic] = []
     for window in windows(tokens):
         word = window.word
-        base = word.start
         found = memo.get(word.text)
         if found is None:
-            local = [d for rule in word_rules for d in rule(window, lex, fused)]
-            out.extend(local)
+            at_zero = RuleWindow(Token(word.kind, word.text, 0, len(word.text)))
+            found = tuple(d for rule in word_rules for d in rule(at_zero, lex, fused))
             if len(memo) >= _WORD_MEMO_CAP:
                 memo.clear()
-            memo[word.text] = tuple(
-                Diagnostic(d.rule, d.start - base, d.end - base, d.severity, d.message, d.replacement)
-                for d in local
-            )
-        elif found:
+            memo[word.text] = found
+        if found:
+            base = word.start
             out.extend(
                 Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
                 for d in found

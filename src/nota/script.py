@@ -318,36 +318,3 @@ def _canonicalize_slow(text: str, offset: int) -> tuple[list[str], list[tuple[in
                 if ch not in ARABIC_MARKS:
                     shadda_at = len(chars)
     return chars, spans
-
-
-# --- cluster view --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A base character with its trailing marks, by offsets into the word.
-
-    Never raises, so the rules can inspect arbitrary word tokens; the
-    strict grapheme parser validates on top of it.  ``base`` is None for
-    a run of marks with no preceding base character.
-    """
-
-    start: int
-    end: int
-    base: str | None
-    marks: str
-
-
-def iter_clusters(word: str) -> list[Cluster]:
-    """Split a word into base+marks clusters without validating it."""
-    clusters: list[Cluster] = []
-    i = 0
-    n = len(word)
-    while i < n:
-        base = None if word[i] in ARABIC_MARKS else word[i]
-        j = marks_start = i if base is None else i + 1
-        while j < n and word[j] in ARABIC_MARKS:
-            j += 1
-        clusters.append(Cluster(i, j, base, word[marks_start:j]))
-        i = j
-    return clusters

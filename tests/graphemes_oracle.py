@@ -1,8 +1,9 @@
 """The per-character grapheme parser, kept as the oracle for ``nota.graphemes``.
 
-The package parses words on top of ``script.iter_clusters``; this is the
-state machine it replaced, unchanged, so ``test_graphemes`` can compare
-the two on every input it generates.
+The package parses a word in one walk over its characters, with a
+membership test on the mark table; this is the state machine over
+``classify`` that came first, unchanged, so ``test_graphemes`` can
+compare the two on every input it generates.
 """
 
 from __future__ import annotations

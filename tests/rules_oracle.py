@@ -9,11 +9,15 @@ chosen one.  It is also the oracle for ``rule_vow``, ``rule_art``,
 ``rule_amq``, ``rule_pron`` and ``rule_sep``, which walked their word one
 character or one cluster at a time and sorted the fused map on every
 call.  The code is the implementation they replaced, unchanged except
-that ``_select_nonoverlapping`` lost its leading underscore here.
+that ``_select_nonoverlapping`` lost its leading underscore here, and
+that ``rule_sep`` sorts the prepositions on every call, as it did
+before the Lexicon kept them sorted.  ``iter_clusters``, which
+``rule_art`` walked, is a verbatim copy of the one ``nota.script`` had.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
 from nota.lexicon import Lexicon
@@ -35,7 +39,6 @@ from nota.script import (
     NOTA_MARKS,
     WAW,
     ZWARAKAY,
-    iter_clusters,
     skeleton,
 )
 from nota.tokenize import Token, TokenKind
@@ -92,6 +95,36 @@ def select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
 
 
 # --- rule bodies ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """A base character with its trailing marks, by offsets into the word.
+
+    Never raises, so the rules can inspect arbitrary word tokens; the
+    strict grapheme parser validates on top of it.  ``base`` is None for
+    a run of marks with no preceding base character.
+    """
+
+    start: int
+    end: int
+    base: str | None
+    marks: str
+
+
+def iter_clusters(word: str) -> list[Cluster]:
+    """Split a word into base+marks clusters without validating it."""
+    clusters: list[Cluster] = []
+    i = 0
+    n = len(word)
+    while i < n:
+        base = None if word[i] in ARABIC_MARKS else word[i]
+        j = marks_start = i if base is None else i + 1
+        while j < n and word[j] in ARABIC_MARKS:
+            j += 1
+        clusters.append(Cluster(i, j, base, word[marks_start:j]))
+        i = j
+    return clusters
 
 
 def _letter_offsets(text: str) -> list[int]:
@@ -263,7 +296,7 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
                     f"fused preposition; write {fused[fused_form]} separately",
                     fused[fused_form] + word.text[k:],
                 )
-    for prep in lex._prepositions_longest_first:
+    for prep in sorted(lex.prepositions, key=lambda w: (-len(w), w)):
         if len(prep) >= 2 and bare.startswith(prep) and len(bare) > len(prep):
             if known_or_definite(bare[len(prep):]):
                 return diag(

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from nota.lexicon import (
+    ROLES,
     DuplicateEntryError,
     InvalidScriptError,
+    Lexicon,
     LexiconParseError,
     default_lexicon,
     fold_final_alef,
@@ -116,3 +120,17 @@ def test_matches_imperfective(lex):
     assert lex.matches_imperfective("نمشيو")  # نمشيو
     assert not lex.matches_imperfective("مشي")     # مشي
     assert not lex.matches_imperfective("ولد")     # ولد
+
+
+def test_lexicon_fields_are_the_five_resources(lex):
+    assert [f.name for f in fields(Lexicon)] == list(ROLES)
+    resources = {role: getattr(lex, role) for role in ROLES}
+    with pytest.raises(TypeError):
+        Lexicon(**resources, _known_folded={})
+    # A copy is equal but starts with its own, empty rule memo.
+    original = Lexicon(**resources)
+    original._rule_memo[()] = {}
+    copy = replace(original)
+    assert copy == original == lex
+    assert copy._rule_memo == {}
+    assert replace(original, known_words=frozenset()) != original

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import rules_oracle
 from gen import DIRTY_WORDS, lexicon_word_pool, random_text, random_word, synthetic_lexicon, wide_text
+from nota.lexicon import Lexicon
 from nota.rules import (
     _RULES,
     _WORD_MEMO_CAP,
@@ -20,11 +21,12 @@ from nota.rules import (
     RuleWindow,
     Severity,
     derive_imperative,
+    rule_sep,
     run_rules,
     windows,
 )
-from nota.script import ARABIC_MARKS, canonicalize
-from nota.tokenize import TokenKind, tokenize
+from nota.script import ARABIC_MARKS, FATHA, SHADDA, SUKUN, WAW, canonicalize
+from nota.tokenize import Token, TokenKind, tokenize
 
 # Convenience glyph names for readability.
 BAASH = "باش"          # باش
@@ -537,3 +539,59 @@ def test_rules_match_oracle_on_every_mark(lex):
     text = " ".join(f"ا{m}ل{m}ب{m}ا{m}" for m in sorted(ARABIC_MARKS))
     for fused in ORACLE_FUSED_MAPS[:2]:
         _assert_rules_match_oracle(text, lex, fused)
+
+
+# --- R-SEP against its oracle on random lexicons -------------------------------
+
+# Few letters, so that prepositions, fused forms, known words and ال
+# overlap often.  The mark after a letter may be one NOTA does not use.
+_SEP_LETTERS = "ولامنفي"
+_SEP_MARKS = [FATHA, SHADDA, SUKUN, "\u064b"]
+_sep_stems = st.text(alphabet=_SEP_LETTERS, min_size=1, max_size=3)
+
+
+@st.composite
+def _sep_case(draw):
+    """A random lexicon and fused map, and words built to split against them."""
+    preps = draw(st.lists(_sep_stems, max_size=6))
+    if draw(st.booleans()):
+        preps.append(WAW)
+    known = draw(st.sets(st.text(alphabet=_SEP_LETTERS, min_size=1, max_size=4),
+                         min_size=1, max_size=8))
+    fused_keys = draw(st.lists(
+        _sep_stems | st.just("") | st.sampled_from(["فَال", "ف" + SHADDA, *preps, WAW]),
+        max_size=4,
+    ))
+    # Forms extended by the letter that also extends a known word: a split
+    # one letter earlier leaves a known word too, and the longer form wins.
+    letter, tail = draw(st.sampled_from(_SEP_LETTERS)), draw(st.sampled_from(sorted(known)))
+    known.add(letter + tail)
+    traps = []
+    for forms in (preps, fused_keys):
+        if forms:
+            forms.append(draw(st.sampled_from(forms)) + letter)
+            traps.append(forms[-1] + tail)
+    fused = {key: draw(st.sampled_from(["في ال", "فِي ال", "و "])) for key in fused_keys}
+    heads = sorted({*preps, *fused_keys, WAW, ""})
+    words = []
+    for _ in range(draw(st.integers(1, 20))):
+        bare = draw(st.sampled_from(traps + [""])) or (
+            draw(st.sampled_from(heads)) + draw(st.sampled_from(["", "ال"]))
+            + draw(st.sampled_from(sorted(known)) | _sep_stems)
+        )
+        marks = draw(st.lists(st.sampled_from(["", "", *_SEP_MARKS]),
+                              min_size=len(bare), max_size=len(bare)))
+        words.append("".join(ch + m for ch, m in zip(bare, marks)))
+    lexicon = Lexicon(verbs={}, prepositions=frozenset(preps), known_words=frozenset(known),
+                      variant_map={}, gaf_words={})
+    return lexicon, fused, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sep_case(), start=st.integers(0, 9))
+def test_sep_matches_oracle_on_random_lexicons(case, start):
+    lexicon, fused, words = case
+    for text in words:
+        window = RuleWindow(Token(TokenKind.WORD, text, start, start + len(text)))
+        expected = rules_oracle.rule_sep(window, lexicon, fused)
+        assert rule_sep(window, lexicon, fused) == expected, text

@@ -26,7 +26,6 @@ from nota.script import (
     Vowel,
     canonicalize,
     classify,
-    iter_clusters,
     skeleton,
 )
 
@@ -144,21 +143,6 @@ def test_canonicalize_idempotent(text):
 def test_canonicalize_idempotent_on_wide_alphabet(text):
     once = canonicalize(text).text
     assert canonicalize(once).text == once
-
-
-def test_iter_clusters_attaches_marks():
-    clusters = iter_clusters("بَاش")
-    assert [(c.base, c.marks) for c in clusters] == [
-        ("ب", "َ"),
-        ("ا", ""),
-        ("ش", ""),
-    ]
-
-
-def test_iter_clusters_leading_mark():
-    clusters = iter_clusters("َب")
-    assert clusters[0].base is None
-    assert clusters[0].marks == "َ"
 
 
 def test_tables_match_oracle_predicates_on_the_bmp():
