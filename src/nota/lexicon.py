@@ -112,6 +112,10 @@ class Lexicon:
         return folded
 
     @cached_property
+    def _longest_known(self) -> int:
+        return max(map(len, self.known_words), default=0)
+
+    @cached_property
     def _rule_memo(self) -> dict:
         """Word-local rule results, {config key: {word text: diagnostics}}, of rules.run_rules."""
         return {}

@@ -5,10 +5,22 @@ then repeats rule passes, applying Error fixes and lexicon-backed
 Warning fixes until a pass finds nothing more to do; the result is a
 fixpoint of the enabled rules.  Diagnostics always carry spans into the
 original input; the applied rewrites are recorded in a fix trace.
+
+Only the first pass lints the whole text.  No token crosses whitespace
+and a rule window reaches one non-space token on each side, so a fix
+can change the findings of the whitespace-delimited runs it touches and
+of one run on each side of them, no others.  After each rewrite only
+those runs are re-linted, with one more run on each side as context
+(Wagner & Graham, "Efficient and Flexible Incremental Parsing", TOPLAS
+1998).  Nothing found before carries over: the fix choice is maximal,
+so each fixable finding of a pass overlaps a chosen fix, in a run the
+pass rewrote, and a finding anywhere else would have been there, and
+been chosen, the pass before.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum, auto
@@ -122,28 +134,37 @@ def normalize(
     current = canon.text
     fixes: list[FixEvent] = []
     passes = 0
-    diags = first_pass
+    pending = [d for d in first_pass if _fixable(d)]
     while True:
         passes += 1
-        applicable = [d for d in diags if _fixable(d)]
-        if not applicable:
+        if not pending:
             break
         if passes > config.max_passes:
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
-        chosen = sorted(_select_nonoverlapping(applicable), key=lambda d: d.start)
+        chosen = sorted(_select_nonoverlapping(pending), key=lambda d: d.start)
         pieces = []
-        pos = 0
+        spans = []  # each replacement's span in the rewritten text
+        pos = shift = 0
         for d in chosen:
-            pieces += (current[pos : d.start], d.replacement or "")
+            pieces += (current[pos : d.start], d.replacement)
+            spans.append((d.start + shift, d.start + shift + len(d.replacement)))
+            shift += len(d.replacement) - (d.end - d.start)
             pos = d.end
         pieces.append(current[pos:])
         current = "".join(pieces)
         fixes.extend(
-            FixEvent(d.rule, passes, d.start, d.end, d.replacement or "") for d in reversed(chosen)
+            FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
         )
-        _, diags = _lint_canonical(current, lex, config)
+        pending = []
+        for lo, keep_lo, keep_hi, hi in _zones(current, spans):
+            _, found = _lint_canonical(current[lo:hi], lex, config)
+            pending += (
+                Diagnostic(d.rule, d.start + lo, d.end + lo, d.severity, d.message, d.replacement)
+                for d in found
+                if _fixable(d) and keep_lo <= d.start + lo < keep_hi
+            )
 
     return RunResult(
         output=current,
@@ -151,3 +172,45 @@ def normalize(
         fixes=tuple(fixes),
         passes_used=passes,
     )
+
+
+# The rest of a run of non-space characters, and the spaces after a run
+# with the run that follows them.
+_RUN_REST = re.compile(r"\S*")
+_NEXT_RUN = re.compile(r"\s*\S*")
+
+
+def _back(text: str, pos: int, floor: int, space: bool) -> int:
+    """Step left from ``pos`` over spaces (or over non-spaces), not below ``floor``."""
+    while pos > floor and text[pos - 1].isspace() is space:
+        pos -= 1
+    return pos
+
+
+def _zones(text: str, spans: list[tuple[int, int]]) -> list[list[int]]:
+    """The ``[ctx_lo, keep_lo, keep_hi, ctx_hi]`` zones to re-lint around ``spans``.
+
+    A span, sorted and pairwise disjoint, damages the runs of non-space
+    characters it touches, none if it deleted a whole run.  The keep zone
+    adds one run on each side; the context zone one more.  A zone whose
+    context touches or overlaps the previous one's merges with it, and the
+    scan left from a span stops at the previous context, so no run is
+    scanned twice.
+    """
+    zones: list[list[int]] = []
+    hi = -1  # the end of the last zone's damaged runs
+    for a, b in spans:
+        if not zones or a > zones[-1][3]:
+            floor = zones[-1][3] if zones else 0
+            lo = _back(text, a, floor, False)  # where the damaged runs start
+            keep_lo = _back(text, _back(text, lo, floor, True), floor, False)
+            ctx_lo = _back(text, _back(text, keep_lo, floor, True), floor, False)
+            if not zones or _back(text, ctx_lo, floor, True) > floor:
+                zones.append([ctx_lo, keep_lo, 0, 0])
+                hi = -1
+        if b > hi:
+            zone = zones[-1]
+            hi = _RUN_REST.match(text, b).end()
+            zone[2] = _NEXT_RUN.match(text, hi).end()
+            zone[3] = _NEXT_RUN.match(text, zone[2]).end()
+    return zones

@@ -119,19 +119,21 @@ def rule_cons(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     """
     word = window.word
     out: list[Diagnostic] = []
-    for i, ch in enumerate(word.text):
-        canonical = lex.variant_map.get(ch)
-        if canonical:
-            out.append(
-                Diagnostic(
-                    "R-CONS",
-                    word.start + i,
-                    word.start + i + 1,
-                    Severity.ERROR,
-                    f"variant letter {ch}; the canonical letter is {canonical}",
-                    canonical,
+    # Variant letters are rare: a C-speed test skips the walk on most words.
+    if not lex.variant_map.keys().isdisjoint(word.text):
+        for i, ch in enumerate(word.text):
+            canonical = lex.variant_map.get(ch)
+            if canonical:
+                out.append(
+                    Diagnostic(
+                        "R-CONS",
+                        word.start + i,
+                        word.start + i + 1,
+                        Severity.ERROR,
+                        f"variant letter {ch}; the canonical letter is {canonical}",
+                        canonical,
+                    )
                 )
-            )
     if not out:
         bare = skeleton(word.text)
         respelled = lex.gaf_words.get(bare)
@@ -312,21 +314,24 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     if len(bare) < 2 or bare in known or bare in lex.prepositions:
         return []
     # A word has one prefix of each length, so looking its prefixes up,
-    # longest first, finds the longest listed form that applies.
-    for n in range(len(bare) - 1, 0, -1):
-        if bare[:n] in fused and bare[n:] in known:
+    # longest first, finds the longest listed form that applies.  What
+    # follows the prefix must be a known word, bare or after ال, so the
+    # walks stop once it is longer than any: on a long word that keeps
+    # them from slicing the word once per letter.
+    lengths = range(len(bare) - 1, max(len(bare) - lex._longest_known - 3, 0), -1)
+    for n in lengths:
+        if bare[n:] in known and bare[:n] in fused:
             expanded = fused[bare[:n]]
             return _split(word, n, f"fused preposition; write {expanded} separately", expanded)
-    for n in range(len(bare) - 1, 0, -1):
-        head, rest = bare[:n], bare[n:]
-        if n > 1 and head in lex.prepositions:
-            message = f"preposition {head} is written separate from the noun"
-        elif head == WAW:
-            message = "the conjunction و is written separate from the following word"
-        else:
+    for n in lengths:
+        rest = bare[n:]
+        if not (rest in known or len(rest) > 2 and rest.startswith(ALEF + LAM) and rest[2:] in known):
             continue
-        if rest in known or len(rest) > 2 and rest.startswith(ALEF + LAM) and rest[2:] in known:
-            return _split(word, n, message)
+        head = bare[:n]
+        if n > 1 and head in lex.prepositions:
+            return _split(word, n, f"preposition {head} is written separate from the noun")
+        if head == WAW:
+            return _split(word, n, "the conjunction و is written separate from the following word")
     return []
 
 

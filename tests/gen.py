@@ -75,6 +75,8 @@ HOSTILE_DOCS = {
     "no whitespace, already canonical": ("كتاب" * HOSTILE_SIZE)[:HOSTILE_SIZE],
     "no whitespace, a rewrite in every cluster": ("بَّ" * HOSTILE_SIZE)[:HOSTILE_SIZE],
     "latin only": (string.ascii_letters * HOSTILE_SIZE)[:HOSTILE_SIZE],
+    "no whitespace, a fused preposition repeated": ("فالدار" * HOSTILE_SIZE)[:HOSTILE_SIZE],
+    "no whitespace, a fix in every cluster": ("بٌ" * HOSTILE_SIZE)[:HOSTILE_SIZE],
 }
 
 

@@ -1,0 +1,74 @@
+"""The fix loop as it was before it re-linted only the neighbourhood of
+each fix.
+
+Kept as the oracle for ``nota.pipeline.normalize``: every pass after
+the first re-tokenizes and re-lints the whole rewritten text.  The code
+is the implementation it replaced, unchanged.
+"""
+
+from __future__ import annotations
+
+from nota.config import Config, DEFAULT_CONFIG
+from nota.lexicon import Lexicon
+from nota.pipeline import (
+    FixEvent,
+    Mode,
+    PassCapExceededError,
+    RunResult,
+    _fixable,
+    _lint,
+    _lint_canonical,
+    _select_nonoverlapping,
+)
+from nota.rules import Diagnostic
+
+
+def normalize(
+    text: str,
+    lex: Lexicon,
+    config: Config = DEFAULT_CONFIG,
+    mode: Mode = Mode.CHECK,
+) -> RunResult:
+    """Run the full pipeline over one document."""
+    canon, _, first_pass = _lint(text, lex, config)
+    reported = []
+    for d in first_pass:
+        start, end = canon.to_original(d.start, d.end)
+        reported.append(Diagnostic(d.rule, start, end, d.severity, d.message, d.replacement))
+    reported = tuple(reported)
+
+    if mode is not Mode.FIX:
+        return RunResult(output=text, diagnostics=reported, fixes=(), passes_used=1)
+
+    current = canon.text
+    fixes: list[FixEvent] = []
+    passes = 0
+    diags = first_pass
+    while True:
+        passes += 1
+        applicable = [d for d in diags if _fixable(d)]
+        if not applicable:
+            break
+        if passes > config.max_passes:
+            raise PassCapExceededError(
+                f"fixes still applicable after {config.max_passes} passes"
+            )
+        chosen = sorted(_select_nonoverlapping(applicable), key=lambda d: d.start)
+        pieces = []
+        pos = 0
+        for d in chosen:
+            pieces += (current[pos : d.start], d.replacement or "")
+            pos = d.end
+        pieces.append(current[pos:])
+        current = "".join(pieces)
+        fixes.extend(
+            FixEvent(d.rule, passes, d.start, d.end, d.replacement or "") for d in reversed(chosen)
+        )
+        _, diags = _lint_canonical(current, lex, config)
+
+    return RunResult(
+        output=current,
+        diagnostics=reported,
+        fixes=tuple(fixes),
+        passes_used=passes,
+    )

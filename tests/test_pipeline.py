@@ -1,19 +1,28 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pipeline_oracle
 import rules_oracle
-from gen import lexicon_word_pool, random_text, wide_text
-from nota import Config, ConfigError, Mode, normalize
+from gen import (
+    DIRTY_WORDS,
+    HOSTILE_DOCS,
+    lexicon_word_pool,
+    random_text,
+    synthetic_lexicon,
+    wide_text,
+)
+from nota import Config, ConfigError, Mode, default_lexicon, normalize
 from nota.config import DEFAULT_CONFIG
 from nota.lexicon import Lexicon, load_lexicon
 from nota.pipeline import PassCapExceededError, _select_nonoverlapping
-from nota.rules import RULE_PRIORITY, Diagnostic, Severity
+from nota.rules import DEFAULT_FUSED_PREPOSITIONS, RULE_PRIORITY, Diagnostic, Severity
 from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
 
@@ -211,4 +220,110 @@ candidate_fixes = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(candidate_fixes)
 def test_select_nonoverlapping_matches_oracle(diags):
-    assert _select_nonoverlapping(diags) == rules_oracle.select_nonoverlapping(diags)
+    chosen = _select_nonoverlapping(diags)
+    assert chosen == rules_oracle.select_nonoverlapping(diags)
+    # The choice is maximal: the fix loop re-lints only around the chosen
+    # fixes, and relies on every finding left out overlapping one of them.
+    for d in diags:
+        assert any(c.start < d.end and d.start < c.end for c in chosen) or d in chosen
+
+
+# --- the fix loop against its whole-text oracle -------------------------------
+
+# Words that each take a fix on their own under the default lexicon, so a
+# chain of them puts a fix in every word; the lone mark is deleted whole.
+FIXED_WORDS = [
+    "اَلدار", "والدار", "فالدار", "كول", "مشا", "قرى", "گاوري", "بِات", "بقرة",
+    "كتابٌ", "ً", "باش نمشي",
+]
+SYNTHETIC = synthetic_lexicon(random.Random(9))
+FUSED_MAPS = [
+    DEFAULT_FUSED_PREPOSITIONS,
+    {},
+    {"فال": "في ال"},
+    {"ف": "في ", "فال": "في ال", "وال": "و ال"},
+]
+
+
+def _run(text: str, lexicon: Lexicon, config: Config, normalize_fn=normalize):
+    """The RunResult of a FIX run, or the type of the error it raised."""
+    try:
+        return normalize_fn(text, lexicon, config, Mode.FIX)
+    except PassCapExceededError as exc:
+        return type(exc)
+
+
+def _fix_document(rng: random.Random, lexicon: Lexicon, wide: str) -> str:
+    """Random text, a chain of dirty words or a fix in every word, with ``wide`` mixed in."""
+    pool = lexicon_word_pool(lexicon)
+    pieces = rng.choice([
+        lambda: [random_text(rng, pool) for _ in range(rng.randint(1, 4))],
+        lambda: rng.choices(DIRTY_WORDS, k=rng.randint(1, 30)),
+        lambda: rng.choices(FIXED_WORDS, k=rng.randint(1, 30)),
+    ])()
+    pieces.insert(rng.randint(0, len(pieces)), wide)
+    return rng.choice([" ", "\n", "", " . "]).join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=wide_text,
+    synthetic=st.booleans(),
+    enabled=st.dictionaries(st.sampled_from(RULE_PRIORITY), st.booleans()),
+    fused=st.sampled_from(FUSED_MAPS),
+    max_passes=st.integers(1, 4),
+)
+@example(seed=0, wide="باش ً نمشي", synthetic=False, enabled={}, fused={}, max_passes=4)
+def test_fix_loop_matches_oracle(lex, seed, wide, synthetic, enabled, fused, max_passes):
+    lexicon = SYNTHETIC if synthetic else lex
+    text = _fix_document(random.Random(seed), lexicon, wide)
+    config = Config(rules=enabled, max_passes=max_passes, fused_prepositions=fused)
+    assert _run(text, lexicon, config) == _run(text, lexicon, config, pipeline_oracle.normalize)
+
+
+@pytest.mark.parametrize("text", [
+    "باش ً نمشي",       # a lone mark deleted whole joins باش to the verb
+    "باش ً ً نمشي",
+    "ً باش نمشي",       # fixes at the start and at the end of the text
+    "باش نمشي ً",
+    "فالدار",
+    "كتابٌ" * 50,        # a fix in every cluster of one whitespace-free run
+    " ".join(FIXED_WORDS * 5),
+    "\n".join(FIXED_WORDS * 5),
+    "".join(FIXED_WORDS * 5),
+])
+@pytest.mark.parametrize("max_passes", [1, 2, 4])
+def test_fix_loop_matches_oracle_on_edges(lex, text, max_passes):
+    config = Config(max_passes=max_passes)
+    assert _run(text, lex, config) == _run(text, lex, config, pipeline_oracle.normalize)
+
+
+# A verb spelled with ڨ, so that a fix inside a word can make it a verb
+# and give the باش before it a fix of its own in the next pass.
+GAF_VERB_LEXICON = load_lexicon({
+    "verbs": ["ڨال\tيڨول\t0\tتڨول"],
+    "prepositions": ["في"],
+    "variant_map": ["گ\tڨ"],
+})
+
+
+@pytest.mark.parametrize("text", ["باش يگول", "يگول باش يگول\nباش  يگول", "باش يگولٌ باش"])
+def test_fix_inside_a_word_relints_the_word_before(text):
+    config = Config()
+    result = _run(text, GAF_VERB_LEXICON, config)
+    assert result == _run(text, GAF_VERB_LEXICON, config, pipeline_oracle.normalize)
+    assert "R-FUT" in {f.rule for f in result.fixes}
+
+
+# --- hostile sizes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [Mode.CHECK, Mode.FIX])
+@pytest.mark.parametrize("name", HOSTILE_DOCS)
+def test_normalize_linear_on_hostile_sizes(name, mode):
+    # A fresh lexicon, so that no word memo from an earlier run hides the cost.
+    lexicon = default_lexicon()
+    start = time.perf_counter()
+    normalize(HOSTILE_DOCS[name], lexicon, mode=mode)
+    assert time.perf_counter() - start < 5.0

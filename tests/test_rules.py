@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rules_oracle
 from gen import DIRTY_WORDS, lexicon_word_pool, random_text, random_word, synthetic_lexicon, wide_text
-from nota.lexicon import Lexicon
+from nota.lexicon import Lexicon, default_lexicon
 from nota.rules import (
     _RULES,
     _WORD_MEMO_CAP,
@@ -21,6 +21,7 @@ from nota.rules import (
     RuleWindow,
     Severity,
     derive_imperative,
+    rule_cons,
     rule_sep,
     run_rules,
     windows,
@@ -534,6 +535,29 @@ def test_rules_match_oracle_on_odd_words(lex, word, fused):
             _assert_rules_match_oracle(prev + word, lexicon, fused)
 
 
+@pytest.mark.parametrize("variant_map", [
+    None,                                   # the packaged map
+    {},
+    {"ق": "ڨ"},
+    {"گ": "ڨ", "ڥ": "ڤ", "ف": "ڤ", "ب": "پ"},
+])
+def test_cons_flags_every_variant_letter(lex, variant_map):
+    lexicon = lex if variant_map is None else default_lexicon(variant_map=variant_map)
+    # Variant letters bare, carrying marks, doubled, at either end and in
+    # listed /g/ words.
+    text = " ".join([
+        "گاوري", "گَاوري", "گّاوري", "ڥيلا", "ڥِيلا", "بقرة", "بَقَرة", "ققق", "ببب",
+        "اگ", "گ", "گً", "بڥگ", "ڨاوري", "قرى",
+    ])
+    for window in windows(tokenize(text)):
+        word = window.word
+        found = rule_cons(window, lexicon, DEFAULT_FUSED_PREPOSITIONS)
+        assert [(d.start, d.replacement) for d in found if d.severity is Severity.ERROR] == [
+            (word.start + i, lexicon.variant_map[ch])
+            for i, ch in enumerate(word.text) if ch in lexicon.variant_map
+        ], word.text
+
+
 def test_rules_match_oracle_on_every_mark(lex):
     # Each Arabic mark after each letter of ال, in the middle and at the end.
     text = " ".join(f"ا{m}ل{m}ب{m}ا{m}" for m in sorted(ARABIC_MARKS))
@@ -595,3 +619,21 @@ def test_sep_matches_oracle_on_random_lexicons(case, start):
         window = RuleWindow(Token(TokenKind.WORD, text, start, start + len(text)))
         expected = rules_oracle.rule_sep(window, lexicon, fused)
         assert rule_sep(window, lexicon, fused) == expected, text
+
+
+# Known words that make the longest one 12 letters.  The test words put a
+# head before one, bare or after ال, so what follows the head is as long
+# as R-SEP's walks reach; the same words after 16 more letters make the
+# walks stop well short of the head.
+LONG_KNOWN = ["مستشفيات", "كتابكتابكتاب"]
+
+
+@pytest.mark.parametrize("fused", ORACLE_FUSED_MAPS)
+def test_sep_matches_oracle_on_long_words(lex, fused):
+    lexicon = replace(lex, known_words=lex.known_words | set(LONG_KNOWN))
+    heads = ["", "فال", "مال", "عال", "ف", "وال", "فَال", "فِي", "في", "على", "و", "من", "ب"]
+    words = [head + al + word for head in heads for al in ("", "ال") for word in LONG_KNOWN]
+    text = " ".join(words + ["كتاب" * 4 + word for word in words])
+    for window in windows(tokenize(text)):
+        expected = rules_oracle.rule_sep(window, lexicon, fused)
+        assert rule_sep(window, lexicon, fused) == expected, window.word.text

@@ -99,6 +99,25 @@ def test_tokens_and_windows_match_oracles(text):
     assert windows(tokens) == rules_oracle.windows(tokens)
 
 
+@given(st.one_of(st.text(), mixed_text, wide_text))
+def test_tokenize_splits_at_whitespace(text):
+    """Cut anywhere next to whitespace, the two sides tokenize on their own.
+
+    The fix loop re-lints whitespace-delimited runs apart from the rest of
+    the text on this invariant.
+    """
+    tokens = tokenize(text)
+    for cut in range(1, len(text)):
+        if not (text[cut - 1].isspace() or text[cut].isspace()):
+            continue
+        left = tokenize(text[:cut])
+        right = [t._replace(start=t.start + cut, end=t.end + cut) for t in tokenize(text[cut:])]
+        if left[-1].kind is right[0].kind is TokenKind.SPACE:
+            joined = left.pop()
+            right[0] = right[0]._replace(text=joined.text + right[0].text, start=joined.start)
+        assert left + right == tokens, (text, cut)
+
+
 @pytest.mark.parametrize("name", HOSTILE_DOCS)
 def test_linear_on_hostile_sizes(name):
     text = HOSTILE_DOCS[name]
