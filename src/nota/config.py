@@ -65,24 +65,27 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in doc.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
 
     rules: dict[str, bool] = {}
-    for key, value in (doc.get("rules") or {}).items():
+    for key, value in doc.get("rules", {}).items():
         if key not in RULE_IDS:
             raise ConfigError(f"unknown rule id in config: {key!r}")
         if not isinstance(value, bool):
             raise ConfigError(f"rules.{key} must be a boolean")
         rules[key] = value
 
-    pipeline = doc.get("pipeline") or {}
+    pipeline = doc.get("pipeline", {})
     unknown = set(pipeline) - {"max_passes"}
     if unknown:
         raise ConfigError(f"unknown pipeline keys: {sorted(unknown)}")
     max_passes = pipeline.get("max_passes", 4)
-    if not isinstance(max_passes, int) or max_passes < 1:
+    if isinstance(max_passes, bool) or not isinstance(max_passes, int) or max_passes < 1:
         raise ConfigError("pipeline.max_passes must be a positive integer")
 
-    lexicon = doc.get("lexicon") or {}
+    lexicon = doc.get("lexicon", {})
     unknown = set(lexicon) - set(ROLES)
     if unknown:
         raise ConfigError(f"unknown lexicon roles in config: {sorted(unknown)}")
@@ -95,7 +98,7 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
             path = base_dir / path
         lexicon_paths[role] = path
 
-    tables = doc.get("tables") or {}
+    tables = doc.get("tables", {})
     unknown = set(tables) - _TABLES
     if unknown:
         raise ConfigError(f"unknown tables in config: {sorted(unknown)}")

@@ -7,8 +7,10 @@ re-running a rule on its own replacement yields nothing.
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. ``run_rules`` runs
 them once per distinct word text and keeps their findings in a bounded
-memo on the Lexicon; R-FUT and R-PRON read a neighbour and run on every
-window.
+memo on the Lexicon. R-FUT and R-PRON read a neighbour, but each can
+fire only on a word whose skeleton passes its gate; the memo also keeps
+which gates a word passes, and the two run only on the windows of those
+words.
 
 Severities drive fix mode: Error fixes are always safe to apply,
 Warning fixes carry lexicon evidence, Info is a suggestion only (the
@@ -20,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Mapping, NamedTuple
+from itertools import compress
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .lexicon import Lexicon
 from .script import (
@@ -251,10 +254,22 @@ def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     ]
 
 
+# The gates of the context rules, on the skeleton of the window's word:
+# where a gate is false its rule finds nothing, whatever the neighbours.
+
+
+def _fut_gate(bare: str) -> bool:
+    return bare == "باش"
+
+
+def _pron_gate(bare: str) -> bool:
+    return bare.endswith("وش")
+
+
 def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-FUT: باش before an imperfective verb is the future marker بش."""
     word = window.word
-    if skeleton(word.text) != "باش":
+    if not _fut_gate(skeleton(word.text)):
         return []
     nxt = window.next_word
     if nxt is None or not lex.matches_imperfective(nxt.text):
@@ -279,7 +294,7 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     word = window.word
     bare = skeleton(word.text)
     # Each candidate below is ``bare`` or its tail, so ends as ``bare`` does.
-    if not bare.endswith("وش"):
+    if not _pron_gate(bare):
         return []
     prev = window.prev_word
     prev_bare = skeleton(prev.text) if prev is not None else None
@@ -359,8 +374,25 @@ _RULES: Mapping[str, Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Dia
 # that each gives the same findings whatever the neighbours.
 _WORD_RULES = frozenset({"R-VOW", "R-CONS", "R-ART", "R-AMQ", "R-IMP", "R-SEP"})
 
+# The other rules, each with its gate.
+_CONTEXT_GATES: Mapping[str, Callable[[str], bool]] = {"R-FUT": _fut_gate, "R-PRON": _pron_gate}
+
 # Distinct words the memo in run_rules holds before it is emptied.
 _WORD_MEMO_CAP = 4096
+
+
+def _neighbours(tokens: list[Token]) -> Iterator[tuple[Token | None, Token, Token | None]]:
+    """``(prev, word, next)`` for each word token, the neighbours being
+    the word tokens next to it across spaces only, else None."""
+    # The non-space tokens in order, None standing for each that is not a
+    # word, padded so every word has a predecessor and a successor.
+    seq: list[Token | None] = [None]
+    seq += (
+        t if t.kind is TokenKind.WORD else None for t in tokens if t.kind is not TokenKind.SPACE
+    )
+    seq.append(None)
+    # Keep the triples whose middle is a word: a Token is truthy, None not.
+    return compress(zip(seq, seq[1:], seq[2:]), seq[1:-1])
 
 
 def windows(tokens: list[Token]) -> list[RuleWindow]:
@@ -369,14 +401,7 @@ def windows(tokens: list[Token]) -> list[RuleWindow]:
     Punctuation or foreign material breaks adjacency, so a sentence-final
     باش never sees a verb on the other side of a full stop.
     """
-    # The non-space tokens in order, None standing for each that is not a
-    # word, padded so every word has a predecessor and a successor.
-    seq: list[Token | None] = [None]
-    seq += (
-        t if t.kind is TokenKind.WORD else None for t in tokens if t.kind is not TokenKind.SPACE
-    )
-    seq.append(None)
-    return [RuleWindow(w, p, n) for p, w, n in zip(seq, seq[1:], seq[2:]) if w is not None]
+    return [RuleWindow(w, p, n) for p, w, n in _neighbours(tokens)]
 
 
 def run_rules(
@@ -388,39 +413,48 @@ def run_rules(
     """Run the enabled rules over all word windows, in deterministic order.
 
     The word-local rules run once per distinct word text, on the word
-    alone at offset 0.  Their findings are kept on ``lex`` for this rule
-    set and fused map, at most ``_WORD_MEMO_CAP`` words, and shifted to
-    each window's word; another rule set or fused map empties the memo.
+    alone at offset 0.  The memo keeps their findings, with the enabled
+    context rules whose gate the word's skeleton passes, on ``lex`` for
+    this rule set and fused map, at most ``_WORD_MEMO_CAP`` words; another
+    rule set or fused map empties it.  The findings are shifted to each
+    window's word, and a window is built only for a word with a context
+    rule to run.
     """
     fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
     active = [
         rid for rid in RULE_PRIORITY if enabled is None or enabled.get(rid, True)
     ]
     word_rules = [_RULES[rid] for rid in active if rid in _WORD_RULES]
-    context_rules = [_RULES[rid] for rid in active if rid not in _WORD_RULES]
+    context_rules = [(_RULES[rid], _CONTEXT_GATES[rid]) for rid in active if rid in _CONTEXT_GATES]
     config_key = (tuple(active), frozenset(fused.items()))
     memo = lex._rule_memo.get(config_key)
     if memo is None:
         lex._rule_memo.clear()
         memo = lex._rule_memo[config_key] = {}
     out: list[Diagnostic] = []
-    for window in windows(tokens):
-        word = window.word
-        found = memo.get(word.text)
-        if found is None:
+    for prev, word, nxt in _neighbours(tokens):
+        entry = memo.get(word.text)
+        if entry is None:
             at_zero = RuleWindow(Token(word.kind, word.text, 0, len(word.text)))
-            found = tuple(d for rule in word_rules for d in rule(at_zero, lex, fused))
+            bare = skeleton(word.text)
+            entry = (
+                tuple(d for rule in word_rules for d in rule(at_zero, lex, fused)),
+                tuple(rule for rule, gate in context_rules if gate(bare)),
+            )
             if len(memo) >= _WORD_MEMO_CAP:
                 memo.clear()
-            memo[word.text] = found
+            memo[word.text] = entry
+        found, gated = entry
         if found:
             base = word.start
             out.extend(
                 Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
                 for d in found
             )
-        for rule in context_rules:
-            out.extend(rule(window, lex, fused))
+        if gated:
+            window = RuleWindow(word, prev, nxt)
+            for rule in gated:
+                out.extend(rule(window, lex, fused))
     # Each rule's findings lie inside its window's word, so this order does
     # not depend on the order the rules ran in.
     out.sort(key=lambda d: (d.start, d.rule))

@@ -6,7 +6,10 @@ Zwarakay, Damma, Kasra for /a ɛ u i/), Shadda and Sukun.  Everything
 here is table-driven and pure: classification is a total function over
 code points, and canonicalization maps arbitrary Arabic-script input to
 one deterministic byte form (presentation forms folded, tatweel dropped,
-hamza/madda pairs composed, Shadda first inside each mark run).
+hamza/madda pairs composed, Shadda first inside each mark run).  The
+result maps its offsets back onto the input; it keeps a source span per
+character only for the whitespace-delimited runs it rewrote, since every
+other character is copied as it is.
 
 The per-character tables are frozensets built once at import;
 ``char_class`` turns one into a regex class of code-point ranges, so the
@@ -18,9 +21,12 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
 from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
 
 # Short-vowel diacritics and syllable marks.
 FATHA = "َ"      #  َ   /a/
@@ -231,22 +237,77 @@ _COMPOSE_PAIRS = {
     (YEH, "ٔ"): "ئ",           # ي + hamza   → ئ
 }
 
+
+class _Run(NamedTuple):
+    """A run ``_canonicalize_slow`` rewrote: its output span, the source
+    span of each of its characters, and the offset from output to input
+    after it, up to the next rewritten run."""
+
+    start: int
+    end: int
+    sources: tuple[int, ...]
+    source_ends: tuple[int, ...]
+    delta: int
+
+
+_run_start = attrgetter("start")
+
+
 @dataclass(frozen=True)
 class Canonical:
-    """Canonicalized text plus a map back to original offsets."""
+    """Canonicalized text plus a map back to original offsets.
+
+    Only the rewritten runs keep a source span per character; a copied
+    character maps by the ``delta`` of the run before it, or by 0.
+    """
 
     text: str
-    spans: tuple[tuple[int, int], ...]  # source span of each output char
+    runs: tuple[_Run, ...]
 
     def to_original(self, start: int, end: int) -> tuple[int, int]:
-        """Map a span of the canonical text back onto the original input."""
-        if not self.spans:
+        """Map a span of the canonical text back onto the original input.
+
+        A span maps to the least start and the greatest end of its
+        characters' source spans; an empty one to the start of the
+        character at ``start``, or past the end to the last one's end.
+        """
+        if not self.runs:  # the text was copied as it is
+            if start < end:
+                return (start, end)
+            anchor = min(start, len(self.text))
+            return (anchor, anchor)
+        if not self.text:
             return (0, 0)
         if start >= end:
-            anchor = self.spans[start][0] if start < len(self.spans) else self.spans[-1][1]
+            if start < len(self.text):
+                anchor = self._least_start(start, start + 1)
+            else:
+                anchor = self._greatest_end(len(self.text) - 1, len(self.text))
             return (anchor, anchor)
-        covered = self.spans[start:end]
-        return (min(s for s, _ in covered), max(e for _, e in covered))
+        return (self._least_start(start, end), self._greatest_end(start, end))
+
+    # Copied stretches and rewritten runs follow each other in source
+    # order, so a span's least start lies in the piece holding its first
+    # character and its greatest end in the piece holding its last.  Not
+    # so inside a run: a Shadda moves ahead of the marks typed before it.
+
+    def _least_start(self, start: int, end: int) -> int:
+        k = bisect_right(self.runs, start, key=_run_start) - 1
+        if k < 0:
+            return start
+        run = self.runs[k]
+        if start >= run.end:
+            return start + run.delta
+        return min(run.sources[start - run.start : end - run.start])
+
+    def _greatest_end(self, start: int, end: int) -> int:
+        k = bisect_right(self.runs, end - 1, key=_run_start) - 1
+        if k < 0:
+            return end
+        run = self.runs[k]
+        if end > run.end:
+            return end + run.delta
+        return max(run.source_ends[max(start - run.start, 0) : end - run.start])
 
 
 # A whitespace-delimited run up to its first rewrite trigger (listed in
@@ -272,24 +333,27 @@ def canonicalize(text: str) -> Canonical:
     Idempotent: canonicalize(canonicalize(x).text).text == canonicalize(x).text.
     """
     out: list[str] = []
-    spans: list[tuple[int, int]] = []
-    pos = 0
+    runs: list[_Run] = []
+    pos = delta = 0
     while (m := _NEEDS_REWRITE.search(text, pos)) is not None:
         start = m.start()
         end = _RUN_END.search(text, m.end()).start()
         out.append(text[pos:start])
-        spans += zip(range(pos, start), range(pos + 1, start + 1))
-        run_chars, run_spans = _canonicalize_slow(text[start:end], start)
+        run_chars, sources, source_ends = _canonicalize_slow(text[start:end], start)
         out += run_chars
-        spans += run_spans
+        out_start = start - delta
+        delta = end - out_start - len(run_chars)
+        runs.append(_Run(out_start, out_start + len(run_chars), tuple(sources), tuple(source_ends), delta))
         pos = end
     out.append(text[pos:])
-    spans += zip(range(pos, len(text)), range(pos + 1, len(text) + 1))
-    return Canonical("".join(out), tuple(spans))
+    return Canonical("".join(out), tuple(runs))
 
 
-def _canonicalize_slow(text: str, offset: int) -> tuple[list[str], list[tuple[int, int]]]:
-    """Canonicalize ``text`` one character at a time; spans shifted by ``offset``.
+def _canonicalize_slow(text: str, offset: int) -> tuple[list[str], list[int], list[int]]:
+    """Canonicalize ``text`` one character at a time.
+
+    Returns the characters and the start and end of each one's source
+    span, shifted by ``offset``.
 
     Each input character is folded from its presentation form (NFKC),
     dropped if it is tatweel, composed with the previous character if
@@ -298,7 +362,8 @@ def _canonicalize_slow(text: str, offset: int) -> tuple[list[str], list[tuple[in
     at the end.
     """
     chars: list[str] = []
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
     shadda_at = 0  # where the next Shadda of the current mark run goes
     for i, raw in enumerate(text, offset):
         for ch in unicodedata.normalize("NFKC", raw) if raw in _PRESENTATION_FORMS else raw:
@@ -307,14 +372,16 @@ def _canonicalize_slow(text: str, offset: int) -> tuple[list[str], list[tuple[in
             merged = _COMPOSE_PAIRS.get((chars[-1], ch)) if chars else None
             if merged is not None:
                 chars[-1] = merged
-                spans[-1] = (spans[-1][0], i + 1)
+                ends[-1] = i + 1
             elif ch == SHADDA:
                 chars.insert(shadda_at, ch)
-                spans.insert(shadda_at, (i, i + 1))
+                starts.insert(shadda_at, i)
+                ends.insert(shadda_at, i + 1)
                 shadda_at += 1
             else:
                 chars.append(ch)
-                spans.append((i, i + 1))
+                starts.append(i)
+                ends.append(i + 1)
                 if ch not in ARABIC_MARKS:
                     shadda_at = len(chars)
-    return chars, spans
+    return chars, starts, ends

@@ -13,6 +13,9 @@ that ``_select_nonoverlapping`` lost its leading underscore here, and
 that ``rule_sep`` sorts the prepositions on every call, as it did
 before the Lexicon kept them sorted.  ``iter_clusters``, which
 ``rule_art`` walked, is a verbatim copy of the one ``nota.script`` had.
+``rule_fut`` is R-FUT as it was before its test on the word moved into
+a gate that ``run_rules`` shares; with ``rule_pron`` it is what the
+context-rule gates are checked against.
 """
 
 from __future__ import annotations
@@ -262,6 +265,26 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
                 )
             ]
     return []
+
+
+def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+    """R-FUT: باش before an imperfective verb is the future marker بش."""
+    word = window.word
+    if skeleton(word.text) != "باش":
+        return []
+    nxt = window.next_word
+    if nxt is None or not lex.matches_imperfective(nxt.text):
+        return []
+    return [
+        Diagnostic(
+            "R-FUT",
+            word.start,
+            word.end,
+            Severity.WARNING,
+            "future marker before a verb is written بش (باش means 'with what')",
+            "بش",
+        )
+    ]
 
 
 def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:

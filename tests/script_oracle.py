@@ -5,22 +5,30 @@ The code is the per-character implementation that the tables replaced,
 unchanged except for one step of ``canonicalize``: tatweel is dropped
 before the hamza/madda pairs are composed (it used to be dropped after,
 so ``اـٓ`` canonicalized to ``ا``+``ٓ`` and only a second run composed it).
+``Canonical`` is the class nota.script had before it kept spans only for
+the runs it rewrote: one source span per output character.
+``canonicalize_by_runs`` is the loop that built it, which copies the
+runs it need not rewrite; it is unchanged except that it zips the start
+and end lists ``_canonicalize_slow`` now returns into spans.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from dataclasses import dataclass
 
 from nota.script import (
     _COMPOSE_PAIRS,
+    _NEEDS_REWRITE,
+    _RUN_END,
     LETTER_SET,
     NOTA_MARKS,
     SHADDA,
     SUKUN,
     TATWEEL,
     VOWEL_MARKS,
-    Canonical,
     CharClass,
+    _canonicalize_slow,
 )
 
 _ARABIC_RANGES = (
@@ -84,6 +92,24 @@ def _is_presentation(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _PRESENTATION_RANGES)
 
 
+@dataclass(frozen=True)
+class Canonical:
+    """Canonicalized text plus a map back to original offsets."""
+
+    text: str
+    spans: tuple[tuple[int, int], ...]  # source span of each output char
+
+    def to_original(self, start: int, end: int) -> tuple[int, int]:
+        """Map a span of the canonical text back onto the original input."""
+        if not self.spans:
+            return (0, 0)
+        if start >= end:
+            anchor = self.spans[start][0] if start < len(self.spans) else self.spans[-1][1]
+            return (anchor, anchor)
+        covered = self.spans[start:end]
+        return (min(s for s, _ in covered), max(e for _, e in covered))
+
+
 def canonicalize(text: str) -> Canonical:
     tagged: list[tuple[str, int, int]] = []
     for i, ch in enumerate(text):
@@ -124,3 +150,21 @@ def canonicalize(text: str) -> Canonical:
     flush()
 
     return Canonical("".join(ch for ch, _, _ in out), tuple((s, e) for _, s, e in out))
+
+
+def canonicalize_by_runs(text: str) -> Canonical:
+    out: list[str] = []
+    spans: list[tuple[int, int]] = []
+    pos = 0
+    while (m := _NEEDS_REWRITE.search(text, pos)) is not None:
+        start = m.start()
+        end = _RUN_END.search(text, m.end()).start()
+        out.append(text[pos:start])
+        spans += zip(range(pos, start), range(pos + 1, start + 1))
+        run_chars, run_starts, run_ends = _canonicalize_slow(text[start:end], start)
+        out += run_chars
+        spans += zip(run_starts, run_ends)
+        pos = end
+    out.append(text[pos:])
+    spans += zip(range(pos, len(text)), range(pos + 1, len(text) + 1))
+    return Canonical("".join(out), tuple(spans))

@@ -224,6 +224,18 @@ FAILURES = {
         "--config", _file(tmp / "cfg.json", '{"tables": {"variant_map": {"ا": "ب"}}}'.encode()),
         _file(tmp / "in.txt", "باش الدار".encode()),
     ]),
+    **{
+        f"config {doc}": (None, lambda tmp, doc=doc: [
+            "normalize", "--config", _file(tmp / "cfg.json", doc.encode()),
+            _file(tmp / "in.txt", CLEAN.encode()),
+        ])
+        for doc in (
+            '{"rules": ["R-SEP"]}',
+            '{"lexicon": ["verbs"]}',
+            '{"pipeline": ["max_passes"]}',
+            '{"pipeline": {"max_passes": true}}',
+        )
+    },
     "invalid UTF-8 on stdin": (b"\xd8\xa8\xff\xfe", lambda tmp: ["normalize", "--fix", "-"]),
     "unreadable second file under --fix": (None, lambda tmp: [
         "normalize", "--fix", _file(tmp / "a.txt", DIRTY.encode()), str(tmp / "missing.txt"),

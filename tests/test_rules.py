@@ -11,6 +11,7 @@ import rules_oracle
 from gen import DIRTY_WORDS, lexicon_word_pool, random_text, random_word, synthetic_lexicon, wide_text
 from nota.lexicon import Lexicon, default_lexicon
 from nota.rules import (
+    _CONTEXT_GATES,
     _RULES,
     _WORD_MEMO_CAP,
     _WORD_RULES,
@@ -26,7 +27,7 @@ from nota.rules import (
     run_rules,
     windows,
 )
-from nota.script import ARABIC_MARKS, FATHA, SHADDA, SUKUN, WAW, canonicalize
+from nota.script import ARABIC_MARKS, FATHA, SHADDA, SUKUN, WAW, canonicalize, skeleton
 from nota.tokenize import Token, TokenKind, tokenize
 
 # Convenience glyph names for readability.
@@ -449,6 +450,33 @@ def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
             expected = rule(alone, lexicon, fused)
             assert rule(window, lexicon, fused) == expected, rid
             assert rule(other, lexicon, fused) == expected, rid
+
+
+# --- the gates of the context rules -------------------------------------------
+
+ORACLE_CONTEXT_RULES = {"R-FUT": rules_oracle.rule_fut, "R-PRON": rules_oracle.rule_pron}
+
+
+def test_gates_cover_the_context_rules():
+    assert set(_CONTEXT_GATES) == set(ORACLE_CONTEXT_RULES) == RULE_IDS - _WORD_RULES
+
+
+@pytest.mark.parametrize("rid", sorted(_CONTEXT_GATES))
+def test_context_rule_finds_nothing_where_its_gate_fails(lex, rid):
+    """What lets run_rules skip the window of a word whose gate fails."""
+    gate, rule, oracle = _CONTEXT_GATES[rid], _RULES[rid], ORACLE_CONTEXT_RULES[rid]
+    fused = DEFAULT_FUSED_PREPOSITIONS
+    rng = random.Random(rid)
+    for lexicon in (lex, SYNTHETIC):
+        texts = [*DIRTY_WORDS, *lexicon_word_pool(lexicon), *(random_word(rng) for _ in range(40))]
+        neighbours = [None, *(Token(TokenKind.WORD, t, 0, len(t)) for t in texts)]
+        for text in texts:
+            if gate(skeleton(text)):
+                continue
+            word = Token(TokenKind.WORD, text, 10, 10 + len(text))
+            for neighbour in neighbours:
+                window = RuleWindow(word, neighbour, neighbour)
+                assert rule(window, lexicon, fused) == [] == oracle(window, lexicon, fused), window
 
 
 # --- the rule bodies against their oracle ------------------------------------

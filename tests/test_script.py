@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import unicodedata
 from itertools import product
 
 import pytest
@@ -21,7 +22,6 @@ from nota.script import (
     TATWEEL,
     WORD_CHARS,
     ZWARAKAY,
-    Canonical,
     CharClass,
     Vowel,
     canonicalize,
@@ -162,12 +162,48 @@ CANON_ALPHABET = (
 )
 
 
+def _char_spans(canon) -> list[tuple[int, int]]:
+    """The source span ``canon`` maps each of its characters to."""
+    n = len(canon.text)
+    return list(map(canon.to_original, range(n), range(1, n + 1)))
+
+
+def _assert_maps_like(canon, dense, what) -> None:
+    """``canon`` has ``dense``'s text and maps each character, and each
+    empty span, as the dense oracle does: character i to ``spans[i]``, the
+    empty span at i to the start of that, or past the end to the end of
+    the last character.  A longer span maps to the least start and the
+    greatest end of its characters' spans, which the next test checks."""
+    assert canon.text == dense.text, what
+    assert _char_spans(canon) == list(dense.spans), what
+    n = len(dense.spans)
+    anchors = [s for s, _ in dense.spans] + [dense.spans[-1][1] if n else 0]
+    assert list(map(canon.to_original, range(n + 1), range(n + 1))) == [(a, a) for a in anchors], what
+
+
+# Presentation forms whose NFKC is more than one character: ligatures of
+# letters, of a letter and its marks, and of a space and a mark.
+LIGATURES = sorted(ch for ch in _PRESENTATION_FORMS if len(unicodedata.normalize("NFKC", ch)) > 1)
+ligature_soup = st.text(
+    alphabet=st.one_of(st.sampled_from(LIGATURES), st.sampled_from(CANON_ALPHABET)), max_size=24
+)
+
+
+@given(st.one_of(wide_text, arabic_soup, ligature_soup))
+def test_to_original_matches_dense_oracle_on_every_span(text):
+    canon, dense = canonicalize(text), script_oracle.canonicalize(text)
+    assert canon.text == dense.text
+    for i in range(len(canon.text) + 1):
+        for j in range(i, len(canon.text) + 1):
+            assert canon.to_original(i, j) == dense.to_original(i, j), (ascii(text), i, j)
+
+
 def test_canonicalize_matches_oracle_exhaustively():
     assert len(set(CANON_ALPHABET)) == len(CANON_ALPHABET) == 18
     for n in range(5):
         for chars in product(CANON_ALPHABET, repeat=n):
             text = "".join(chars)
-            assert canonicalize(text) == script_oracle.canonicalize(text), ascii(text)
+            _assert_maps_like(canonicalize(text), script_oracle.canonicalize(text), ascii(text))
 
 
 WHITESPACE = [ch for ch in map(chr, range(0x10000)) if ch.isspace()]
@@ -180,13 +216,14 @@ def test_canonicalize_folds_each_side_of_whitespace_alone(a, ws, b):
     left, right = canonicalize(a), canonicalize(b)
     shift = len(a) + len(ws)
     whole = canonicalize(a + ws + b)
-    assert whole == Canonical(
+    sides = script_oracle.Canonical(
         left.text + ws + right.text,
-        left.spans
+        tuple(_char_spans(left))
         + tuple((i, i + 1) for i in range(len(a), shift))
-        + tuple((s + shift, e + shift) for s, e in right.spans),
+        + tuple((s + shift, e + shift) for s, e in _char_spans(right)),
     )
-    assert whole == script_oracle.canonicalize(a + ws + b)
+    _assert_maps_like(whole, sides, "sides")
+    _assert_maps_like(whole, script_oracle.canonicalize(a + ws + b), "whole")
 
 
 # Alef and the marks canonicalize moves, composes or drops, among
@@ -200,7 +237,7 @@ def test_canonicalize_matches_oracle_around_whitespace_exhaustively():
     for n in range(5):
         for chars in product(CANON_SPACE_ALPHABET, repeat=n):
             text = "".join(chars)
-            assert canonicalize(text) == script_oracle.canonicalize(text), ascii(text)
+            _assert_maps_like(canonicalize(text), script_oracle.canonicalize(text), ascii(text))
 
 
 @pytest.mark.parametrize("name", HOSTILE_DOCS)
@@ -209,4 +246,4 @@ def test_canonicalize_linear_on_hostile_sizes(name):
     start = time.perf_counter()
     canon = canonicalize(text)
     assert time.perf_counter() - start < 5.0
-    assert len(canon.spans) == len(canon.text)
+    _assert_maps_like(canon, script_oracle.canonicalize_by_runs(text), name)
