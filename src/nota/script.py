@@ -239,12 +239,11 @@ _COMPOSE_PAIRS = {
 
 
 class _Run(NamedTuple):
-    """A run ``_canonicalize_slow`` rewrote: its output span, the source
+    """A run ``_canonicalize_slow`` rewrote: its output start, the source
     span of each of its characters, and the offset from output to input
     after it, up to the next rewritten run."""
 
     start: int
-    end: int
     sources: tuple[int, ...]
     source_ends: tuple[int, ...]
     delta: int
@@ -271,13 +270,6 @@ class Canonical:
         characters' source spans; an empty one to the start of the
         character at ``start``, or past the end to the last one's end.
         """
-        if not self.runs:  # the text was copied as it is
-            if start < end:
-                return (start, end)
-            anchor = min(start, len(self.text))
-            return (anchor, anchor)
-        if not self.text:
-            return (0, 0)
         if start >= end:
             if start < len(self.text):
                 anchor = self._least_start(start, start + 1)
@@ -296,7 +288,7 @@ class Canonical:
         if k < 0:
             return start
         run = self.runs[k]
-        if start >= run.end:
+        if start >= run.start + len(run.sources):
             return start + run.delta
         return min(run.sources[start - run.start : end - run.start])
 
@@ -305,7 +297,7 @@ class Canonical:
         if k < 0:
             return end
         run = self.runs[k]
-        if end > run.end:
+        if end > run.start + len(run.sources):
             return end + run.delta
         return max(run.source_ends[max(start - run.start, 0) : end - run.start])
 
@@ -343,7 +335,7 @@ def canonicalize(text: str) -> Canonical:
         out += run_chars
         out_start = start - delta
         delta = end - out_start - len(run_chars)
-        runs.append(_Run(out_start, out_start + len(run_chars), tuple(sources), tuple(source_ends), delta))
+        runs.append(_Run(out_start, tuple(sources), tuple(source_ends), delta))
         pos = end
     out.append(text[pos:])
     return Canonical("".join(out), tuple(runs))

@@ -231,6 +231,7 @@ FAILURES = {
         ])
         for doc in (
             '{"rules": ["R-SEP"]}',
+            '{"rules": null}',
             '{"lexicon": ["verbs"]}',
             '{"pipeline": ["max_passes"]}',
             '{"pipeline": {"max_passes": true}}',
