@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Time `normalize` in check and fix mode, and trace one check run's memory.
+
+For each --lines N the document is N lines drawn (seed 0) from the
+sentences of make_synthetic_corpus.py, most of which carry a fixable
+finding.  A fresh lexicon is loaded for each size, and one CHECK run
+made right after it is traced: its tracemalloc peak is the memory
+figure.  Then each mode runs three times untraced; the best time
+counts.  Prints one row per size: chars, CHECK and FIX seconds, their
+ratio, check throughput and peak bytes per input character:
+
+    python scripts/measure.py --lines 1000 10000 100000
+
+It imports the src/nota of the checkout it sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from make_synthetic_corpus import LINES  # noqa: E402
+from nota import Mode, default_lexicon, normalize  # noqa: E402
+
+RUNS = 3
+
+
+def best_of(text: str, lex, mode: Mode) -> float:
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        normalize(text, lex, mode=mode)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def check_peak(text: str, lex) -> int:
+    """The tracemalloc peak of one CHECK run, in bytes."""
+    tracemalloc.start()
+    normalize(text, lex, mode=Mode.CHECK)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--lines", type=int, nargs="+", default=[10_000])
+    args = parser.parse_args()
+
+    print(
+        f"{'lines':>8} {'chars':>9} {'check_s':>8} {'fix_s':>8} {'fix/check':>9}"
+        f" {'check_Mchar/s':>13} {'peak_B/char':>11}"
+    )
+    for lines in args.lines:
+        rng = random.Random(0)
+        text = "\n".join(rng.choice(LINES) for _ in range(lines)) + "\n"
+        lex = default_lexicon()
+        peak = check_peak(text, lex)
+        check = best_of(text, lex, Mode.CHECK)
+        fix = best_of(text, lex, Mode.FIX)
+        print(
+            f"{lines:>8} {len(text):>9} {check:>8.3f} {fix:>8.3f} {fix / check:>9.2f}"
+            f" {len(text) / check / 1e6:>13.3f} {peak / len(text):>11.1f}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .config import Config, ConfigError, DEFAULT_CONFIG, load_config
 from .corpus import collect_stats, report_to_json
@@ -42,12 +44,14 @@ def _read_input(name: str) -> tuple[str, str]:
         raise CliError(f"cannot read {display}: {exc}") from exc
 
 
+def _load_config(args: argparse.Namespace) -> Config:
+    return load_config(args.config) if args.config else DEFAULT_CONFIG
+
+
 def _load_setup(args: argparse.Namespace) -> tuple[Lexicon, Config]:
-    config = DEFAULT_CONFIG
-    if getattr(args, "config", None):
-        config = load_config(args.config)
+    config = _load_config(args)
     overrides = dict(config.lexicon_paths)
-    if getattr(args, "lexicon", None):
+    if args.lexicon:
         overrides.update(resolve_lexicon_paths([Path(p) for p in args.lexicon]))
     lex = default_lexicon(overrides=overrides or None, variant_map=config.variant_map)
     return lex, config
@@ -154,45 +158,39 @@ def _cmd_lexicon_validate(args: argparse.Namespace) -> int:
 # --- translit / romanize -----------------------------------------------------
 
 
-def _cmd_translit(args: argparse.Namespace) -> int:
-    lex, config = _load_setup(args)
-    _, text = _read_input(args.file)
-    out: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            out.append("")
-            continue
-        try:
-            out.append(
-                transliterate_line(
-                    line,
-                    diacritized=args.diacritics,
-                    similarity=config.vowel_similarity,
-                )
-            )
-        except TranslitError as exc:
-            raise CliError(f"line {lineno}: {exc}") from exc
-    sys.stdout.write("".join(w + "\n" for w in out))
-    return 0
-
-
-def _cmd_romanize(args: argparse.Namespace) -> int:
+def _per_line(
+    args: argparse.Namespace, convert: Callable[[str], str], error: type[Exception]
+) -> int:
+    """Write ``convert`` of each stripped input line; a blank line stays blank."""
     _, text = _read_input(args.file)
     out: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         word = line.strip()
-        if not word:
-            out.append("")
-            continue
-        mode = args.mode
-        if mode == "auto":
-            mode = "diacritized" if any(m in word for m in VOWEL_MARKS) else "bare"
         try:
-            out.append(romanize(word, mode))
-        except RomanizeError as exc:
+            out.append(convert(word) if word else "")
+        except error as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
     sys.stdout.write("".join(w + "\n" for w in out))
     return 0
+
+
+def _cmd_translit(args: argparse.Namespace) -> int:
+    similarity = _load_config(args).vowel_similarity
+    return _per_line(
+        args,
+        lambda line: transliterate_line(line, diacritized=args.diacritics, similarity=similarity),
+        TranslitError,
+    )
+
+
+def _cmd_romanize(args: argparse.Namespace) -> int:
+    def convert(word: str) -> str:
+        mode = args.mode
+        if mode == "auto":
+            mode = "diacritized" if any(m in word for m in VOWEL_MARKS) else "bare"
+        return romanize(word, mode)
+
+    return _per_line(args, convert, RomanizeError)
 
 
 # --- parser ------------------------------------------------------------------
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translit", help="transliterate phonemic loanword lines")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--diacritics", action="store_true", help="emit vowel diacritics")
-    add_setup_options(p)
+    p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=_cmd_translit)
 
     p = sub.add_parser("romanize", help="phonemic Latin transcription, one word per line")
@@ -256,9 +254,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (CliError, ConfigError, LexiconError, PassCapExceededError) as exc:
         print(f"nota: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # The reader went away.  Point stdout at devnull, so that the
+        # interpreter's final flush of what is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"nota: error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -68,6 +68,8 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
     for name, section in doc.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
+    # What the document leaves out keeps the Config default.
+    fields: dict[str, object] = {}
 
     rules: dict[str, bool] = {}
     for key, value in doc.get("rules", {}).items():
@@ -76,14 +78,16 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
         if not isinstance(value, bool):
             raise ConfigError(f"rules.{key} must be a boolean")
         rules[key] = value
+    fields["rules"] = rules
 
     pipeline = doc.get("pipeline", {})
     unknown = set(pipeline) - {"max_passes"}
     if unknown:
         raise ConfigError(f"unknown pipeline keys: {sorted(unknown)}")
-    max_passes = pipeline.get("max_passes", 4)
-    if isinstance(max_passes, bool) or not isinstance(max_passes, int) or max_passes < 1:
-        raise ConfigError("pipeline.max_passes must be a positive integer")
+    if "max_passes" in pipeline:
+        max_passes = fields["max_passes"] = pipeline["max_passes"]
+        if isinstance(max_passes, bool) or not isinstance(max_passes, int) or max_passes < 1:
+            raise ConfigError("pipeline.max_passes must be a positive integer")
 
     lexicon = doc.get("lexicon", {})
     unknown = set(lexicon) - set(ROLES)
@@ -91,37 +95,24 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
         raise ConfigError(f"unknown lexicon roles in config: {sorted(unknown)}")
     lexicon_paths = {}
     for role, value in lexicon.items():
-        if not isinstance(value, str):
+        if not isinstance(value, str) or "\0" in value:
             raise ConfigError(f"lexicon.{role} must be a path string")
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         lexicon_paths[role] = path
+    fields["lexicon_paths"] = lexicon_paths
 
     tables = doc.get("tables", {})
     unknown = set(tables) - _TABLES
     if unknown:
         raise ConfigError(f"unknown tables in config: {sorted(unknown)}")
-    fused = dict(DEFAULT_FUSED_PREPOSITIONS)
-    if "fused_prepositions" in tables:
-        fused = _require_str_mapping(tables["fused_prepositions"], "tables.fused_prepositions")
-    vowel_similarity = {}
-    if "vowel_similarity" in tables:
-        vowel_similarity = _require_str_mapping(tables["vowel_similarity"], "tables.vowel_similarity")
-        if not all(v in {"A", "E", "I", "U"} for v in vowel_similarity.values()):
-            raise ConfigError("tables.vowel_similarity values must be A, E, I or U")
-    variant_map = None
-    if "variant_map" in tables:
-        variant_map = _require_str_mapping(tables["variant_map"], "tables.variant_map")
+    for name, table in tables.items():
+        fields[name] = _require_str_mapping(table, f"tables.{name}")
+    if not all(v in {"A", "E", "I", "U"} for v in tables.get("vowel_similarity", {}).values()):
+        raise ConfigError("tables.vowel_similarity values must be A, E, I or U")
 
-    return Config(
-        rules=rules,
-        max_passes=max_passes,
-        fused_prepositions=fused,
-        vowel_similarity=vowel_similarity,
-        variant_map=variant_map,
-        lexicon_paths=lexicon_paths,
-    )
+    return Config(**fields)
 
 
 def load_config(path: Path | str) -> Config:
@@ -130,6 +121,10 @@ def load_config(path: Path | str) -> Config:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply") from exc
     return parse_config(doc, base_dir=path.parent)

@@ -9,6 +9,7 @@ recorded in their row, never fatal.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,7 +75,9 @@ def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> 
     )
     rows: list[FileStats] = []
     for path in paths:
-        name = path.relative_to(root).as_posix()
+        # A name's bytes that are not UTF-8 are written as escapes, so the
+        # report stays valid UTF-8.
+        name = os.fsencode(path.relative_to(root).as_posix()).decode("utf-8", "backslashreplace")
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -100,21 +103,6 @@ def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> 
 
 
 def report_to_json(report: CorpusReport) -> str:
-    doc = {
-        "files": report.files,
-        "word_tokens": report.word_tokens,
-        "clean_words": report.clean_words,
-        "clean_word_ratio": report.clean_word_ratio,
-        "diagnostics_per_rule": report.diagnostics_per_rule,
-        "per_file": [
-            {
-                "file": r.file,
-                "word_tokens": r.word_tokens,
-                "clean_words": r.clean_words,
-                "diagnostics_per_rule": r.diagnostics_per_rule,
-                "error": r.error,
-            }
-            for r in report.per_file
-        ],
-    }
+    # vars, not dataclasses.asdict, which deep-copies every row.
+    doc = {**vars(report), "per_file": [vars(r) for r in report.per_file]}
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"

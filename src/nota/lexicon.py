@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .script import ALEF, ALEF_MAQSURA, GAF, PEH, QAF, TEH, VEH, YEH, skeleton
-from .tokenize import TokenKind, tokenize
+from .script import ALEF, ALEF_MAQSURA, GAF, PEH, QAF, TEH, VEH, WORD_CHARS, YEH, skeleton
 
 ROLES = ("verbs", "prepositions", "known_words", "variant_map", "gaf_words")
 
@@ -166,9 +165,25 @@ def _clean_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
         yield lineno, line
 
 
+def _rows(
+    lines: Iterable[str], source: str, widths: range, expected: str
+) -> Iterator[tuple[int, list[str]]]:
+    """The tab-separated fields of each row, padded with "" to the widest
+    of ``widths``, with its line number.
+
+    A row whose field count is not in ``widths`` is an error, reported as
+    ``expected`` with ``{got}`` standing for the count.
+    """
+    for lineno, line in _clean_lines(lines):
+        cols = line.split("\t")
+        if len(cols) not in widths:
+            raise LexiconParseError(source, lineno, expected.format(got=len(cols)))
+        yield lineno, cols + [""] * (widths[-1] - len(cols))
+
+
 def _require_word(field_text: str, source: str, line: int, what: str) -> str:
-    toks = tokenize(field_text)
-    if len(toks) != 1 or toks[0].kind is not TokenKind.WORD:
+    # One word token, as the tokenizer would read it.
+    if not field_text or not WORD_CHARS.issuperset(field_text):
         raise InvalidScriptError(f"{source}:{line}: {what} is not a single word: {field_text!r}")
     if skeleton(field_text) != field_text:
         raise InvalidScriptError(f"{source}:{line}: {what} must be undiacritized: {field_text!r}")
@@ -177,11 +192,7 @@ def _require_word(field_text: str, source: str, line: int, what: str) -> str:
 
 def _parse_verbs(lines: Iterable[str], source: str) -> dict[str, VerbEntry]:
     verbs: dict[str, VerbEntry] = {}
-    for lineno, line in _clean_lines(lines):
-        cols = line.split("\t")
-        if not 3 <= len(cols) <= 5:
-            raise LexiconParseError(source, lineno, f"expected 3-5 columns, got {len(cols)}")
-        cols += [""] * (5 - len(cols))
+    for lineno, cols in _rows(lines, source, range(3, 6), "expected 3-5 columns, got {got}"):
         citation = _require_word(cols[0], source, lineno, "citation form")
         present = _require_word(cols[1], source, lineno, "present form")
         if cols[2] not in ("0", "1"):
@@ -219,10 +230,7 @@ def _check_variant(variant: str, canonical: str, where: str) -> None:
 
 def _parse_variant_map(lines: Iterable[str], source: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, line in _clean_lines(lines):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise LexiconParseError(source, lineno, "expected 2 columns: variant, canonical")
+    for lineno, cols in _rows(lines, source, range(2, 3), "expected 2 columns: variant, canonical"):
         variant, canonical = cols[0].strip(), cols[1].strip()
         _check_variant(variant, canonical, f"{source}:{lineno}")
         if variant in mapping:
@@ -233,10 +241,7 @@ def _parse_variant_map(lines: Iterable[str], source: str) -> dict[str, str]:
 
 def _parse_gaf_words(lines: Iterable[str], source: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, line in _clean_lines(lines):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise LexiconParseError(source, lineno, "expected 2 columns: word, respelling")
+    for lineno, cols in _rows(lines, source, range(2, 3), "expected 2 columns: word, respelling"):
         word = _require_word(cols[0], source, lineno, "word")
         respelled = _require_word(cols[1], source, lineno, "respelling")
         if len(word) != len(respelled) or any(
@@ -269,17 +274,7 @@ def load_lexicon(sources: Mapping[str, Iterable[str]]) -> Lexicon:
     unknown = set(sources) - set(ROLES)
     if unknown:
         raise LexiconError(f"unknown lexicon roles: {sorted(unknown)}")
-    parsed = {
-        role: _PARSERS[role](sources[role], role) if role in sources else _PARSERS[role]((), role)
-        for role in ROLES
-    }
-    return Lexicon(
-        verbs=parsed["verbs"],
-        prepositions=parsed["prepositions"],
-        known_words=parsed["known_words"],
-        variant_map=parsed["variant_map"],
-        gaf_words=parsed["gaf_words"],
-    )
+    return Lexicon(**{role: _PARSERS[role](sources.get(role, ()), role) for role in ROLES})
 
 
 def resolve_lexicon_paths(paths: Iterable[Path]) -> dict[str, Path]:

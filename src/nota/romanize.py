@@ -96,7 +96,7 @@ def _romanize_diacritized(graphemes: tuple[Grapheme, ...]) -> list[str]:
         if base == ALEF:
             label = GLOTTAL if idx == 0 else "a" + LONG
         else:
-            label = LETTERS[base].ipa
+            label = LETTERS[base]
         segments.append(label)
         if g.shadda:
             segments.append(label)
@@ -120,14 +120,14 @@ def _romanize_bare(graphemes: tuple[Grapheme, ...]) -> list[str]:
         if base == TEH_MARBUTA and is_last:
             segments.append("a")
         elif base in HAMZA_LETTERS or base == ALEF_MADDA:
-            segments.append(LETTERS[base].ipa)
+            segments.append(LETTERS[base])
         elif base in (ALEF, ALEF_MAQSURA):
             # Interior alef is a vowel slot; word-initially it is an onset.
             segments.append(GLOTTAL if is_first else PLACEHOLDER)
         elif base in (WAW, YEH):
-            segments.append(LETTERS[base].ipa if is_first else PLACEHOLDER)
+            segments.append(LETTERS[base] if is_first else PLACEHOLDER)
         else:
-            segments.append(LETTERS[base].ipa)
+            segments.append(LETTERS[base])
     return segments
 
 

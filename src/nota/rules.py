@@ -78,17 +78,6 @@ class RuleWindow(NamedTuple):
     next_word: Token | None = None
 
 
-class NotSecondPersonError(ValueError):
-    pass
-
-
-def derive_imperative(present_2sg: str) -> str:
-    """Imperative = the 2sg present form minus its leading ت."""
-    if not present_2sg.startswith(TEH):
-        raise NotSecondPersonError(f"{present_2sg!r} does not start with ت")
-    return present_2sg[1:]
-
-
 _MARK_CHARS = "".join(sorted(ARABIC_MARKS))
 _MARKS = char_class(ARABIC_MARKS)
 # R-VOW's findings, one character each: a Kasra before Alef, or a mark
@@ -192,45 +181,22 @@ def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     bare = skeleton(word.text)
     if not bare or bare[-1] not in (ALEF, ALEF_MAQSURA):
         return []
-    pos = len(word.text.rstrip(_MARK_CHARS)) - 1
-    span = (word.start + pos, word.start + pos + 1)
     entry = lex.lookup_citation_folded(bare)
     if entry is not None:
         expected = ALEF_MAQSURA if entry.present_ends_long_i else ALEF
         if bare[-1] == expected:
             return []
         why = "ends in long /i/" if entry.present_ends_long_i else "does not end in long /i/"
-        return [
-            Diagnostic(
-                "R-AMQ",
-                *span,
-                Severity.WARNING,
-                f"present form {entry.present_3sg} {why}; final letter should be {expected}",
-                expected,
-            )
-        ]
-    if bare in lex.known_words:
+        message = f"present form {entry.present_3sg} {why}; final letter should be {expected}"
+        finding = (Severity.WARNING, message, expected)
+    elif bare in lex.known_words:
         return []
-    listed = lex.known_spelling_for(bare)
-    if listed is not None and listed != bare:
-        return [
-            Diagnostic(
-                "R-AMQ",
-                *span,
-                Severity.WARNING,
-                f"listed spelling is {listed}",
-                listed[-1],
-            )
-        ]
-    return [
-        Diagnostic(
-            "R-AMQ",
-            *span,
-            Severity.INFO,
-            "final-vowel spelling unverified (word not in lexicon)",
-            None,
-        )
-    ]
+    elif (listed := lex.known_spelling_for(bare)) is not None and listed != bare:
+        finding = (Severity.WARNING, f"listed spelling is {listed}", listed[-1])
+    else:
+        finding = (Severity.INFO, "final-vowel spelling unverified (word not in lexicon)", None)
+    pos = word.start + len(word.text.rstrip(_MARK_CHARS)) - 1
+    return [Diagnostic("R-AMQ", pos, pos + 1, *finding)]
 
 
 def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
@@ -239,7 +205,7 @@ def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     entry = lex.lookup_irregular_imperative(word.text)
     if entry is None or not entry.present_2sg or not entry.present_2sg.startswith(TEH):
         return []
-    regular = derive_imperative(entry.present_2sg)
+    regular = entry.present_2sg[1:]
     if regular == skeleton(word.text):
         return []
     return [

@@ -73,63 +73,48 @@ GAF = "ڨ"           # ڨ  /g/
 
 HAMZA_LETTERS = frozenset("ءأؤإئ")  # ء أ ؤ إ ئ
 
-
-@dataclass(frozen=True)
-class Letter:
-    """One base letter with its broad phoneme label."""
-
-    char: str
-    ipa: str
-    emphatic: bool = False
-    supplemental: bool = False
-
-
-def _letters() -> dict[str, Letter]:
-    rows: list[tuple[str, str, bool, bool]] = [
-        ("ء", "ʔ", False, False),   # ء
-        ("آ", "ʔaː", False, False),  # آ  (madda carries its own long /a/)
-        ("أ", "ʔ", False, False),   # أ
-        ("ؤ", "ʔ", False, False),   # ؤ
-        ("إ", "ʔ", False, False),   # إ
-        ("ئ", "ʔ", False, False),   # ئ
-        ("ا", "aː", False, False),  # ا  (mater; label used as fallback)
-        ("ب", "b", False, False),   # ب
-        ("ة", "a", False, False),   # ة  (word-final /a/)
-        ("ت", "t", False, False),   # ت
-        ("ث", "θ", False, False),   # ث
-        ("ج", "ʒ", False, False),   # ج
-        ("ح", "ħ", False, False),   # ح
-        ("خ", "x", False, False),   # خ
-        ("د", "d", False, False),   # د
-        ("ذ", "ð", False, False),   # ذ
-        ("ر", "r", False, False),   # ر
-        ("ز", "z", False, False),   # ز
-        ("س", "s", False, False),   # س
-        ("ش", "ʃ", False, False),   # ش
-        ("ص", "sˤ", True, False),   # ص
-        ("ض", "ðˤ", True, False),   # ض  (merged with ظ)
-        ("ط", "tˤ", True, False),   # ط
-        ("ظ", "ðˤ", True, False),   # ظ  (merged with ض)
-        ("ع", "ʕ", False, False),   # ع
-        ("غ", "ɣ", False, False),   # غ
-        ("ف", "f", False, False),   # ف
-        ("ق", "q", False, False),   # ق
-        ("ك", "k", False, False),   # ك
-        ("ل", "l", False, False),   # ل
-        ("م", "m", False, False),   # م
-        ("ن", "n", False, False),   # ن
-        ("ه", "h", False, False),   # ه
-        ("و", "w", False, False),   # و
-        ("ى", "aː", False, False),  # ى  (final mater)
-        ("ي", "j", False, False),   # ي
-        (PEH, "p", False, True),         # پ
-        (VEH, "v", False, True),         # ڤ
-        (GAF, "g", False, True),         # ڨ
-    ]
-    return {c: Letter(c, ipa, emph, sup) for c, ipa, emph, sup in rows}
-
-
-LETTERS: dict[str, Letter] = _letters()
+# Each base letter with its broad phoneme label.
+LETTERS: dict[str, str] = {
+    "ء": "ʔ",       # ء
+    "آ": "ʔaː",     # آ  (madda carries its own long /a/)
+    "أ": "ʔ",       # أ
+    "ؤ": "ʔ",       # ؤ
+    "إ": "ʔ",       # إ
+    "ئ": "ʔ",       # ئ
+    "ا": "aː",      # ا  (mater; label used as fallback)
+    "ب": "b",       # ب
+    "ة": "a",       # ة  (word-final /a/)
+    "ت": "t",       # ت
+    "ث": "θ",       # ث
+    "ج": "ʒ",       # ج
+    "ح": "ħ",       # ح
+    "خ": "x",       # خ
+    "د": "d",       # د
+    "ذ": "ð",       # ذ
+    "ر": "r",       # ر
+    "ز": "z",       # ز
+    "س": "s",       # س
+    "ش": "ʃ",       # ش
+    "ص": "sˤ",      # ص
+    "ض": "ðˤ",      # ض  (merged with ظ)
+    "ط": "tˤ",      # ط
+    "ظ": "ðˤ",      # ظ  (merged with ض)
+    "ع": "ʕ",       # ع
+    "غ": "ɣ",       # غ
+    "ف": "f",       # ف
+    "ق": "q",       # ق
+    "ك": "k",       # ك
+    "ل": "l",       # ل
+    "م": "m",       # م
+    "ن": "n",       # ن
+    "ه": "h",       # ه
+    "و": "w",       # و
+    "ى": "aː",      # ى  (final mater)
+    "ي": "j",       # ي
+    PEH: "p",       # پ
+    VEH: "v",       # ڤ
+    GAF: "g",       # ڨ
+}
 LETTER_SET = frozenset(LETTERS)
 
 

@@ -126,9 +126,7 @@ def parse_phonemic_line(line: str) -> PhonemicWord:
 
 def assimilate_vowel(label: str, similarity: Mapping[str, str] | None = None) -> Vowel:
     """Map a foreign vowel onto one of the four native qualities."""
-    table = dict(DEFAULT_VOWEL_SIMILARITY)
-    if similarity:
-        table.update(similarity)
+    table = similarity if similarity and label in similarity else DEFAULT_VOWEL_SIMILARITY
     quality = table.get(label)
     if quality is None:
         raise UnknownPhonemeError(f"no vowel mapping for {label!r}")

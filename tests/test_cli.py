@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -115,6 +116,20 @@ def test_stats_report(tmp_path, capsys):
     assert doc["diagnostics_per_rule"] == {"R-FUT": 1}
 
 
+def test_stats_escapes_a_non_utf8_file_name(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    try:
+        (corpus / os.fsdecode(b"\xff.txt")).write_text(CLEAN, encoding="utf-8")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "stats", str(corpus), "--out", str(out_path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out_path.read_bytes().decode("utf-8"))
+    assert [row["file"] for row in doc["per_file"]] == ["\\xff.txt"]
+
+
 def test_stats_missing_dir_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "stats", str(tmp_path / "nope"))
     assert code == 2
@@ -178,6 +193,33 @@ def test_lexicon_override_flag(tmp_path, capsys):
     assert code == 1
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away, over a file the test owns."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+def test_broken_pipe_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text(DIRTY, encoding="utf-8")
+    with open(tmp_path / "sink", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(["normalize", "--check", str(src)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("nota: error: ") and err.count("\n") == 1
+
+
 def _file(path, data: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
@@ -233,8 +275,18 @@ FAILURES = {
             '{"rules": ["R-SEP"]}',
             '{"rules": null}',
             '{"lexicon": ["verbs"]}',
+            '{"lexicon": {"verbs": "a\\u0000b"}}',
             '{"pipeline": ["max_passes"]}',
             '{"pipeline": {"max_passes": true}}',
+        )
+    },
+    **{
+        f"config {name}": (None, lambda tmp, doc=doc: [
+            "normalize", "--config", _file(tmp / "cfg.json", doc), _file(tmp / "in.txt", CLEAN.encode()),
+        ])
+        for name, doc in (
+            ("not UTF-8", b"\xff\xfe{}"),
+            ("nested past the recursion limit", b"[" * 100_000),
         )
     },
     "invalid UTF-8 on stdin": (b"\xd8\xa8\xff\xfe", lambda tmp: ["normalize", "--fix", "-"]),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -10,6 +11,7 @@ from nota.lexicon import (
     InvalidScriptError,
     Lexicon,
     LexiconParseError,
+    _require_word,
     default_lexicon,
     fold_final_alef,
     load_lexicon,
@@ -35,6 +37,22 @@ def test_every_stored_form_is_one_word_token(lex):
             tokens = tokenize(form)
             assert len(tokens) == 1 and tokens[0].kind is TokenKind.WORD
             assert skeleton(form) == form
+
+
+def test_word_check_agrees_with_the_tokenizer():
+    # A field passes the word check exactly when it tokenizes to one WORD
+    # token: for every code point, and for a few longer or empty fields.
+    texts = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    texts += ["", "كتاب", "كتاب كتاب", "كتاب.", "كتابa", "ab", "١٢", "ـكتاب", " كتاب"]
+    for text in texts:
+        toks = tokenize(text)
+        one_word = len(toks) == 1 and toks[0].kind is TokenKind.WORD
+        try:
+            _require_word(text, "test", 1, "word")
+            passed = True
+        except InvalidScriptError as exc:
+            passed = "is not a single word" not in str(exc)
+        assert passed == one_word, repr(text)
 
 
 def test_flag_matches_present_form(lex):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rules_oracle
 from gen import DIRTY_WORDS, lexicon_word_pool, random_text, random_word, synthetic_lexicon, wide_text
-from nota.lexicon import Lexicon, default_lexicon
+from nota.lexicon import Lexicon, VerbEntry, default_lexicon
 from nota.rules import (
     _CONTEXT_GATES,
     _RULES,
@@ -18,10 +18,8 @@ from nota.rules import (
     DEFAULT_FUSED_PREPOSITIONS,
     RULE_IDS,
     RULE_PRIORITY,
-    NotSecondPersonError,
     RuleWindow,
     Severity,
-    derive_imperative,
     rule_cons,
     rule_sep,
     run_rules,
@@ -173,17 +171,16 @@ def test_amq_ignores_other_finals(lex):
     assert diags(BAASH, lex, only="R-AMQ") == []
 
 
-# --- R-IMP / derive_imperative ---------------------------------------------
+# --- R-IMP ----------------------------------------------------------------
 
 
-def test_derive_imperative():
-    assert derive_imperative("تاكل") == "اكل"
-    assert derive_imperative("تمشي") == "مشي"
-
-
-def test_derive_imperative_requires_teh():
-    with pytest.raises(NotSecondPersonError):
-        derive_imperative("كول")
+def test_imp_needs_a_2sg_present_with_teh(lex):
+    # The regular imperative is the 2sg present minus its leading ت; an
+    # entry whose 2sg present has none gives no finding.
+    for present_2sg, expected in (("تاكل", ["اكل"]), ("ناكل", []), (None, [])):
+        entry = VerbEntry("كلا", "ياكل", False, present_2sg, "كول")
+        found = diags("كول", replace(lex, verbs={"كلا": entry}), only="R-IMP")
+        assert [d.replacement for d in found] == expected
 
 
 def test_imp_irregular_flagged(lex):
