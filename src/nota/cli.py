@@ -1,9 +1,10 @@
 """Command line interface.
 
-Subcommands: ``normalize`` (check/fix/strict), ``stats``, ``lexicon
+Subcommands: ``normalize`` (check or fix), ``stats``, ``lexicon
 validate``, ``translit``, ``romanize``.  Exit codes follow lint
 conventions: 0 clean, 1 diagnostics found or fixes applied, 2 usage,
-IO, config or lexicon errors.  ``-`` reads standard input.
+IO, config or lexicon errors; ``--strict`` makes a check fail on
+info-level findings too.  ``-`` reads standard input.
 """
 
 from __future__ import annotations
@@ -66,31 +67,25 @@ def _dump_json(obj: object) -> str:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     lex, config = _load_setup(args)
-    if args.fix:
-        mode = Mode.FIX
-    elif args.strict:
-        mode = Mode.STRICT
-    else:
-        mode = Mode.CHECK
+    mode = Mode.FIX if args.fix else Mode.CHECK
 
     # Read every input first, so an unreadable file stops the run before
     # any output is written.
     inputs = [_read_input(name) for name in args.files or ["-"]]
-    any_changed = False
-    any_hard = False  # Error/Warning
-    any_diag = False
+    # A fix fails when it changes the text, a check on an Error or a
+    # Warning, or with --strict on any finding.
+    failed = False
     json_rows: list[dict[str, object]] = []
 
     for display, text in inputs:
         result = normalize(text, lex, config, mode)
-        any_diag = any_diag or bool(result.diagnostics)
-        any_hard = any_hard or any(
-            d.severity in (Severity.ERROR, Severity.WARNING) for d in result.diagnostics
-        )
         if mode is Mode.FIX:
-            any_changed = any_changed or result.output != text
+            failed = failed or result.output != text
             sys.stdout.write(result.output)
             continue
+        failed = failed or any(
+            args.strict or d.severity is not Severity.INFO for d in result.diagnostics
+        )
         for d in result.diagnostics:
             if args.format == "json":
                 json_rows.append(
@@ -111,14 +106,9 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
                     f" {d.rule}: {d.message}{suffix}"
                 )
 
-    if mode is not Mode.FIX and args.format == "json":
+    if mode is Mode.CHECK and args.format == "json":
         sys.stdout.write(_dump_json(json_rows))
-
-    if mode is Mode.FIX:
-        return 1 if any_changed else 0
-    if mode is Mode.STRICT:
-        return 1 if any_diag else 0
-    return 1 if any_hard else 0
+    return 1 if failed else 0
 
 
 # --- stats -----------------------------------------------------------------

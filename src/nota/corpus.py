@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,22 +47,15 @@ class CorpusReport:
 
 def file_stats(name: str, text: str, lex: Lexicon, config: Config) -> FileStats:
     _, tokens, diagnostics = _lint(text, lex, config)
-    words = [t for t in tokens if t.kind is TokenKind.WORD]
-    # A word is dirty when a diagnostic overlaps it (each starts before the
-    # other ends).  The words are disjoint and in order, so those a span
-    # overlaps are one index range, found by bisection.
-    starts = [w.start for w in words]
-    ends = [w.end for w in words]
-    dirty: set[int] = set()
-    per_rule: dict[str, int] = {}
-    for d in diagnostics:
-        per_rule[d.rule] = per_rule.get(d.rule, 0) + 1
-        dirty.update(range(bisect_right(ends, d.start), bisect_left(starts, d.end)))
+    starts = [t.start for t in tokens if t.kind is TokenKind.WORD]
+    # A word is dirty when it holds a finding's start: every finding lies
+    # inside one word (see ``nota.rules``).
+    dirty = {bisect_right(starts, d.start) for d in diagnostics}
     return FileStats(
         file=name,
-        word_tokens=len(words),
-        clean_words=len(words) - len(dirty),
-        diagnostics_per_rule=per_rule,
+        word_tokens=len(starts),
+        clean_words=len(starts) - len(dirty),
+        diagnostics_per_rule=dict(Counter(d.rule for d in diagnostics)),
     )
 
 
@@ -69,17 +63,34 @@ def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> 
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
-    paths = sorted(
-        (p for p in root.rglob("*") if p.is_file()),
-        key=lambda p: p.relative_to(root).as_posix(),
-    )
-    rows: list[FileStats] = []
-    for path in paths:
-        # A name's bytes that are not UTF-8 are written as escapes, so the
-        # report stays valid UTF-8.
-        name = os.fsencode(path.relative_to(root).as_posix()).decode("utf-8", "backslashreplace")
+    # Each file's POSIX path relative to root, by an explicit stack, since
+    # Path.rglob and os.walk recurse.  Symlinked files count, symlinked
+    # directories are not entered, unlistable directories are skipped.
+    found: list[str] = []
+    stack = [""]
+    while stack:
+        prefix = stack.pop()
         try:
-            text = path.read_text(encoding="utf-8")
+            with os.scandir(root / prefix) as it:
+                entries = list(it)
+        except OSError:
+            continue
+        for entry in entries:
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    stack.append(prefix + entry.name + "/")
+                elif entry.is_file():
+                    found.append(prefix + entry.name)
+            except OSError:  # a symlink loop, say: not a file
+                pass
+    rows: list[FileStats] = []
+    for rel in sorted(found):
+        # A name's bytes that are not UTF-8 are written as escapes, so the
+        # report stays valid UTF-8; a backslash is doubled first, so that
+        # no name reads as another's escape.
+        name = os.fsencode(rel).replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
+        try:
+            text = (root / rel).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             rows.append(FileStats(name, 0, 0, {}, error=str(exc)))
             continue
@@ -87,17 +98,16 @@ def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> 
 
     total_words = sum(r.word_tokens for r in rows)
     total_clean = sum(r.clean_words for r in rows)
-    per_rule: dict[str, int] = {}
+    per_rule: Counter[str] = Counter()
     for r in rows:
-        for rule, n in r.diagnostics_per_rule.items():
-            per_rule[rule] = per_rule.get(rule, 0) + n
+        per_rule.update(r.diagnostics_per_rule)
     ratio = total_clean / total_words if total_words else 1.0
     return CorpusReport(
         files=len(rows),
         word_tokens=total_words,
         clean_words=total_clean,
         clean_word_ratio=ratio,
-        diagnostics_per_rule=per_rule,
+        diagnostics_per_rule=dict(per_rule),
         per_file=tuple(rows),
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .script import ARABIC_MARKS, LETTER_SET, NOTA_MARKS, SHADDA, SUKUN, VOWEL_OF_MARK, Vowel
+from .script import ARABIC_MARKS, LETTER_SET, NOTA_MARKS, SHADDA, SUKUN, Vowel
 
 
 class GraphemeError(ValueError):
@@ -83,7 +83,7 @@ def parse_graphemes(word: str) -> tuple[Grapheme, ...]:
                 raise DuplicateVowelError("second vowel mark on one letter", i)
             if sukun:
                 raise VowelWithSukunError("vowel mark on a sukun letter", i)
-            vowel = VOWEL_OF_MARK[ch]
+            vowel = Vowel(ch)
     if base is not None:
         out.append(Grapheme(base, shadda, sukun, vowel))
     return tuple(out)
@@ -101,7 +101,7 @@ def render_graphemes(graphemes: tuple[Grapheme, ...] | list[Grapheme]) -> str:
         if g.shadda:
             parts.append(SHADDA)
         if g.vowel is not None:
-            parts.append(g.vowel.mark)
+            parts.append(g.vowel.value)
         elif g.sukun:
             parts.append(SUKUN)
     return "".join(parts)

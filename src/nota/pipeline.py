@@ -33,9 +33,8 @@ from .tokenize import Token, tokenize
 
 
 class Mode(Enum):
-    CHECK = auto()   # report only
-    FIX = auto()     # apply Error + lexicon-backed Warning fixes
-    STRICT = auto()  # report only; any diagnostic fails the run
+    CHECK = auto()  # report only
+    FIX = auto()    # apply Error + lexicon-backed Warning fixes
 
 
 class PassCapExceededError(RuntimeError):
@@ -122,11 +121,10 @@ def normalize(
 ) -> RunResult:
     """Run the full pipeline over one document."""
     canon, _, first_pass = _lint(text, lex, config)
-    reported = []
-    for d in first_pass:
-        start, end = canon.to_original(d.start, d.end)
-        reported.append(Diagnostic(d.rule, start, end, d.severity, d.message, d.replacement))
-    reported = tuple(reported)
+    reported = tuple(
+        Diagnostic(d.rule, *canon.to_original(d.start, d.end), d.severity, d.message, d.replacement)
+        for d in first_pass
+    )
 
     if mode is not Mode.FIX:
         return RunResult(output=text, diagnostics=reported, fixes=(), passes_used=1)

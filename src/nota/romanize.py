@@ -21,11 +21,11 @@ from .script import (
     LETTERS,
     TEH_MARBUTA,
     WAW,
+    WORD_CHARS,
     YEH,
     Vowel,
     canonicalize,
 )
-from .tokenize import TokenKind, tokenize
 
 PLACEHOLDER = "·"  # ·
 
@@ -59,8 +59,7 @@ class MissingDiacriticsError(RomanizeError):
 
 def _check_word(word: str) -> tuple[Grapheme, ...]:
     canon = canonicalize(word).text
-    tokens = tokenize(canon)
-    if len(tokens) != 1 or tokens[0].kind is not TokenKind.WORD:
+    if not canon or not WORD_CHARS.issuperset(canon):
         raise NotAWordError(f"not a single word: {word!r}")
     try:
         return parse_graphemes(canon)

@@ -2,7 +2,9 @@
 
 Rule ids are stable public strings. Each rule is a pure function of its
 token window, the lexicon and the rule tables; replacements converge:
-re-running a rule on its own replacement yields nothing.
+re-running a rule on its own replacement yields nothing. Every finding
+is a non-empty span inside one word token, so it holds no whitespace;
+``Canonical.to_original`` and ``corpus.file_stats`` rely on that.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. ``run_rules`` runs

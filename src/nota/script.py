@@ -46,13 +46,12 @@ class Vowel(Enum):
     U = DAMMA
     I = KASRA
 
-    @property
-    def mark(self) -> str:
-        return self.value
+    # Read only by the acceptance suite; VOWEL_OF_MARK only by the grapheme oracle.
+    mark = property(attrgetter("value"))
 
 
 VOWEL_OF_MARK = {v.value: v for v in Vowel}
-VOWEL_MARKS = frozenset(VOWEL_OF_MARK)
+VOWEL_MARKS = frozenset(v.value for v in Vowel)
 NOTA_MARKS = VOWEL_MARKS | {SHADDA, SUKUN}
 
 # Frequently referenced letters.
@@ -234,9 +233,6 @@ class _Run(NamedTuple):
     delta: int
 
 
-_run_start = attrgetter("start")
-
-
 @dataclass(frozen=True)
 class Canonical:
     """Canonicalized text plus a map back to original offsets.
@@ -249,42 +245,22 @@ class Canonical:
     runs: tuple[_Run, ...]
 
     def to_original(self, start: int, end: int) -> tuple[int, int]:
-        """Map a span of the canonical text back onto the original input.
+        """Map a non-empty, whitespace-free span, as every finding is (see
+        ``nota.rules``), to the least start and the greatest end of its
+        characters' source spans.
 
-        A span maps to the least start and the greatest end of its
-        characters' source spans; an empty one to the start of the
-        character at ``start``, or past the end to the last one's end.
+        Each rewritten run ends at whitespace or at the end of the text, so
+        the span lies in the run that holds its start or in the copied text
+        after it.  In a run a Shadda moves ahead of the marks typed before it.
         """
-        if start >= end:
-            if start < len(self.text):
-                anchor = self._least_start(start, start + 1)
-            else:
-                anchor = self._greatest_end(len(self.text) - 1, len(self.text))
-            return (anchor, anchor)
-        return (self._least_start(start, end), self._greatest_end(start, end))
-
-    # Copied stretches and rewritten runs follow each other in source
-    # order, so a span's least start lies in the piece holding its first
-    # character and its greatest end in the piece holding its last.  Not
-    # so inside a run: a Shadda moves ahead of the marks typed before it.
-
-    def _least_start(self, start: int, end: int) -> int:
-        k = bisect_right(self.runs, start, key=_run_start) - 1
+        k = bisect_right(self.runs, start, key=attrgetter("start")) - 1
         if k < 0:
-            return start
+            return (start, end)
         run = self.runs[k]
         if start >= run.start + len(run.sources):
-            return start + run.delta
-        return min(run.sources[start - run.start : end - run.start])
-
-    def _greatest_end(self, start: int, end: int) -> int:
-        k = bisect_right(self.runs, end - 1, key=_run_start) - 1
-        if k < 0:
-            return end
-        run = self.runs[k]
-        if end > run.start + len(run.sources):
-            return end + run.delta
-        return max(run.source_ends[max(start - run.start, 0) : end - run.start])
+            return (start + run.delta, end + run.delta)
+        lo, hi = start - run.start, end - run.start
+        return (min(run.sources[lo:hi]), max(run.source_ends[lo:hi]))
 
 
 # A whitespace-delimited run up to its first rewrite trigger (listed in

@@ -161,7 +161,7 @@ def transliterate_loanword(
                     # /u o/-quality takes the hamza seat as in أوردينتور
                     out.append(ALEF_HAMZA if vowel is Vowel.U else ALEF)
                 if diacritized:
-                    out.append(vowel.mark)
+                    out.append(vowel.value)
                 if long:
                     out.append(_MATER[vowel])
                 carrier = False

@@ -26,7 +26,7 @@ SAFE_CONSONANTS = [
 ]
 
 ALL_LETTERS = list(LETTERS)
-VOWELS = [v.mark for v in Vowel]
+VOWELS = [v.value for v in Vowel]
 
 LATIN_NOISE = ["abc", "Xy", "hello", "NLP", "a1"]
 DIGIT_NOISE = ["123", "2024", "٢٠٢٤"]

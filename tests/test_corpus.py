@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 import time
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +70,40 @@ def test_report_json_sorted_and_stable(lex, config, tmp_path):
     assert one == two
     doc = json.loads(one)
     assert list(doc) == sorted(doc)
+
+
+def test_deep_tree_is_walked_without_recursion(lex, config, tmp_path):
+    depth = sys.getrecursionlimit() + 100
+    # Built and removed one level at a time: Path.mkdir(parents=True) and
+    # shutil.rmtree recurse too.
+    dirs = [str(tmp_path / "deep")]
+    dirs += (dirs[0] + "/d" * k for k in range(1, depth + 1))
+    leaf = dirs[-1] + "/a.txt"
+    for d in dirs:
+        os.mkdir(d)
+    try:
+        with open(leaf, "w", encoding="utf-8") as f:
+            f.write("باش نمشي")
+        report = collect_stats(tmp_path, lex, config)
+        assert [r.file for r in report.per_file] == ["deep/" + "d/" * depth + "a.txt"]
+        assert report.per_file[0].diagnostics_per_rule == {"R-FUT": 1}
+    finally:
+        if os.path.exists(leaf):
+            os.remove(leaf)
+        for d in reversed(dirs):
+            os.rmdir(d)
+
+
+def test_escaped_name_differs_from_a_literal_backslash(lex, config, tmp_path):
+    try:
+        with open(os.path.join(os.fsencode(tmp_path), b"\xff.txt"), "wb") as f:
+            f.write("بش".encode("utf-8"))
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    (tmp_path / "\\xff.txt").write_text("بش", encoding="utf-8")
+    report = collect_stats(tmp_path, lex, config)
+    # The literal backslash is doubled; the byte 0xFF is escaped.
+    assert [r.file for r in report.per_file] == ["\\\\xff.txt", "\\xff.txt"]
 
 
 def test_clean_word_counting(lex, config):

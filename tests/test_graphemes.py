@@ -102,7 +102,7 @@ def test_render_of_parse_is_canonical_normalization(gs):
     # render pass reaches the canonical fixed point.
     scrambled = "".join(
         g.base
-        + (g.vowel.mark if g.vowel else "")
+        + (g.vowel.value if g.vowel else "")
         + ("ّ" if g.shadda else "")
         + ("ْ" if g.sukun else "")
         for g in gs

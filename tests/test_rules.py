@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rules_oracle
-from gen import DIRTY_WORDS, lexicon_word_pool, random_text, random_word, synthetic_lexicon, wide_text
+from gen import (
+    DIRTY_WORDS,
+    HOSTILE_DOCS,
+    lexicon_word_pool,
+    random_text,
+    random_word,
+    synthetic_lexicon,
+    wide_text,
+)
 from nota.lexicon import Lexicon, VerbEntry, default_lexicon
 from nota.rules import (
     _CONTEXT_GATES,
@@ -328,14 +337,6 @@ def test_rules_are_pure(lex):
     assert run_rules(tokens, lex) == run_rules(tokens, lex)
 
 
-def test_rule_diagnostics_stay_in_window(lex):
-    text = "اَلدار والدار"
-    tokens = tokenize(text)
-    words = {(t.start, t.end) for t in tokens if t.kind.name == "WORD"}
-    for d in run_rules(tokens, lex):
-        assert any(d.start >= s and d.end <= e for s, e in words)
-
-
 def test_no_overlap_within_one_rule_and_clean_replacements(lex):
     import random
 
@@ -395,6 +396,43 @@ def test_run_rules_matches_oracle(lex, seed, wide, synthetic, enabled, fused):
     expected = rules_oracle.run_rules(tokens, lexicon, enabled, fused)
     assert run_rules(tokens, lexicon, enabled, fused) == expected
     assert run_rules(tokens, lexicon, enabled, fused) == expected
+
+
+def _hostile(name, synthetic=False, fused=None):
+    """An example of the test below with a hostile document as its wide text."""
+    return example(seed=0, wide=HOSTILE_DOCS[name], synthetic=synthetic, enabled=None, fused=fused)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=wide_text,
+    synthetic=st.booleans(),
+    enabled=enabled_maps,
+    fused=st.sampled_from(FUSED_MAPS),
+)
+@example(seed=0, wide="اَلدار والدار", synthetic=False, enabled=None, fused=None)
+@_hostile("no whitespace, a fix in every cluster")
+@_hostile("no whitespace, a rewrite in every cluster", synthetic=True)
+@_hostile("no whitespace, a fused preposition repeated", fused={})
+@_hostile("no whitespace, already canonical", synthetic=True)
+@_hostile("latin only")
+def test_rule_diagnostics_stay_in_window(lex, seed, wide, synthetic, enabled, fused):
+    """Every finding is a non-empty span inside exactly one word token, so
+    it holds no whitespace: what Canonical.to_original and
+    corpus.file_stats rely on."""
+    lexicon = SYNTHETIC if synthetic else lex
+    text = _document(random.Random(seed), lexicon, wide)
+    tokens = tokenize(text)
+    words = [t for t in tokens if t.kind is TokenKind.WORD]
+    starts = [w.start for w in words]
+    for d in run_rules(tokens, lexicon, enabled, fused):
+        assert d.start < d.end, d
+        assert not any(ch.isspace() for ch in text[d.start : d.end]), d
+        # Word tokens are disjoint, so the one that holds the start is the
+        # only one that can hold the span.
+        i = bisect_right(starts, d.start) - 1
+        assert i >= 0 and d.end <= words[i].end, d
 
 
 def test_rule_memo_stays_within_cap():

@@ -26,7 +26,7 @@ def test_sentence_example():
         (TokenKind.WORD, "باش"),
         (TokenKind.SPACE, " "),
         (TokenKind.WORD, "نمشي"),
-        (TokenKind.PUNCT, "."),
+        (TokenKind.OTHER, "."),
     ]
 
 
@@ -36,12 +36,12 @@ def test_empty():
 
 def test_digits_token():
     tokens = tokenize("ڨاوري 2024")
-    assert [t.kind for t in tokens] == [TokenKind.WORD, TokenKind.SPACE, TokenKind.DIGITS]
+    assert [t.kind for t in tokens] == [TokenKind.WORD, TokenKind.SPACE, TokenKind.OTHER]
 
 
 def test_mixed_script_splits():
     tokens = tokenize("abcباش")
-    assert [t.kind for t in tokens] == [TokenKind.FOREIGN, TokenKind.WORD]
+    assert [t.kind for t in tokens] == [TokenKind.OTHER, TokenKind.WORD]
 
 
 def test_non_inventory_arabic_stays_in_word():
@@ -51,7 +51,7 @@ def test_non_inventory_arabic_stays_in_word():
 
 def test_arabic_indic_digits():
     tokens = tokenize("٠١٢")
-    assert [t.kind for t in tokens] == [TokenKind.DIGITS]
+    assert [t.kind for t in tokens] == [TokenKind.OTHER]
 
 
 @given(any_text)

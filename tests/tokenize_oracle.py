@@ -1,9 +1,10 @@
 """The per-character tokenizer.
 
 Kept as the oracle for ``nota.tokenize.tokenize``, which splits the text
-with one compiled regex.  The code is the implementation it replaced,
-unchanged: every character is classified by ``_kind_of`` through
-``nota.script.classify``.
+with one compiled regex.  The walk is the implementation it replaced:
+every character is classified by ``_kind_of`` through
+``nota.script.classify``, whose digit, punctuation and foreign classes
+all read as OTHER.
 """
 
 from __future__ import annotations
@@ -15,14 +16,9 @@ from nota.tokenize import Token, TokenKind
 def _kind_of(ch: str) -> TokenKind:
     if ch in WORD_CHARS:
         return TokenKind.WORD
-    cls = classify(ch)
-    if cls is CharClass.SPACE:
+    if classify(ch) is CharClass.SPACE:
         return TokenKind.SPACE
-    if cls is CharClass.DIGIT:
-        return TokenKind.DIGITS
-    if cls is CharClass.PUNCT:
-        return TokenKind.PUNCT
-    return TokenKind.FOREIGN
+    return TokenKind.OTHER
 
 
 def tokenize(text: str) -> list[Token]:
