@@ -6,8 +6,11 @@ sentences of make_synthetic_corpus.py, most of which carry a fixable
 finding.  A fresh lexicon is loaded for each size, and one CHECK run
 made right after it is traced: its tracemalloc peak is the memory
 figure.  Then each mode runs three times untraced; the best time
-counts.  Prints one row per size: chars, CHECK and FIX seconds, their
-ratio, check throughput and peak bytes per input character:
+counts.  Last, CHECK runs on three documents of the same size made of
+fresh random stems (seeds 1-3), words that miss the rule memo; the best
+time counts.  Prints one row per size: chars, CHECK and FIX seconds,
+their ratio, check throughput, check throughput on fresh stems and peak
+bytes per input character:
 
     python scripts/measure.py --lines 1000 10000 100000
 
@@ -27,13 +30,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from make_synthetic_corpus import LINES  # noqa: E402
 from nota import Mode, default_lexicon, normalize  # noqa: E402
+from nota.script import LETTERS  # noqa: E402
 
 RUNS = 3
 
+# Stem letters: no matres, no hamza seats, no ة.
+STEM_LETTERS = [ch for ch in LETTERS if ch not in "اىويةآءأؤإئ"]
 
-def best_of(text: str, lex, mode: Mode) -> float:
+
+def fresh_stems(size: int, seed: int) -> str:
+    """``size`` characters of random stems of 4-7 letters, eight to a line."""
+    rng = random.Random(seed)
+    words: list[str] = []
+    chars = 0
+    while chars < size:
+        words.append("".join(rng.choices(STEM_LETTERS, k=rng.randint(4, 7))))
+        chars += len(words[-1]) + 1
+    return "".join(w + ("\n" if i % 8 == 7 else " ") for i, w in enumerate(words))[:size]
+
+
+def best_of(texts: list[str], lex, mode: Mode) -> float:
     times = []
-    for _ in range(RUNS):
+    for text in texts:
         start = time.perf_counter()
         normalize(text, lex, mode=mode)
         times.append(time.perf_counter() - start)
@@ -56,18 +74,20 @@ def main() -> int:
 
     print(
         f"{'lines':>8} {'chars':>9} {'check_s':>8} {'fix_s':>8} {'fix/check':>9}"
-        f" {'check_Mchar/s':>13} {'peak_B/char':>11}"
+        f" {'check_Mchar/s':>13} {'fresh_Mchar/s':>13} {'peak_B/char':>11}"
     )
     for lines in args.lines:
         rng = random.Random(0)
         text = "\n".join(rng.choice(LINES) for _ in range(lines)) + "\n"
         lex = default_lexicon()
         peak = check_peak(text, lex)
-        check = best_of(text, lex, Mode.CHECK)
-        fix = best_of(text, lex, Mode.FIX)
+        check = best_of([text] * RUNS, lex, Mode.CHECK)
+        fix = best_of([text] * RUNS, lex, Mode.FIX)
+        fresh = best_of([fresh_stems(len(text), seed) for seed in range(1, RUNS + 1)], lex, Mode.CHECK)
         print(
             f"{lines:>8} {len(text):>9} {check:>8.3f} {fix:>8.3f} {fix / check:>9.2f}"
-            f" {len(text) / check / 1e6:>13.3f} {peak / len(text):>11.1f}"
+            f" {len(text) / check / 1e6:>13.3f} {len(text) / fresh / 1e6:>13.3f}"
+            f" {peak / len(text):>11.1f}"
         )
     return 0
 

@@ -118,7 +118,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     lex, config = _load_setup(args)
     try:
         report = collect_stats(Path(args.directory), lex, config)
-    except NotADirectoryError as exc:
+    except OSError as exc:  # not a directory, or one moved away mid-walk
         raise CliError(str(exc)) from exc
     payload = report_to_json(report)
     if args.out == "-":

@@ -13,7 +13,10 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .config import Config, DEFAULT_CONFIG
 from .lexicon import Lexicon
@@ -59,42 +62,104 @@ def file_stats(name: str, text: str, lex: Lexicon, config: Config) -> FileStats:
     )
 
 
+_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY
+
+
+def _listing(fd: int) -> tuple[list[str], list[str]]:
+    """The names of the subdirectories and of the files in the directory
+    open as ``fd``; none if it cannot be listed.  Symlinked files count,
+    symlinked directories do not."""
+    subdirs: list[str] = []
+    files: list[str] = []
+    try:
+        with os.scandir(fd) as it:
+            entries = list(it)
+    except OSError:
+        return subdirs, files
+    for entry in entries:
+        try:
+            if entry.is_dir(follow_symlinks=False):
+                subdirs.append(entry.name)
+            elif entry.is_file():
+                files.append(entry.name)
+        except OSError:  # a symlink loop, say: not a file
+            pass
+    return subdirs, files
+
+
+def _walk(root: Path) -> Iterator[tuple[str, int, str]]:
+    """``(rel, dir_fd, name)`` for each file under ``root``: its POSIX path
+    relative to root, a descriptor of its directory, open until the next
+    item, and its name there.
+
+    Each directory is opened by its name from its parent's descriptor, so
+    no path length stops the walk, and by an explicit stack, since
+    Path.rglob, os.walk and os.fwalk recurse (os.fwalk also holds a
+    descriptor per level).  Unlistable directories are skipped.  A
+    directory moved away while the walk is inside it raises OSError.
+    """
+    try:
+        fd = os.open(root, _DIR_FLAGS)
+    except OSError:
+        return
+    subdirs, files = _listing(fd)
+    # The directories from root down to the one being walked, each as
+    # [prefix, subdirectories not yet entered, descriptor].  Only the
+    # deepest two keep their descriptor, so a deep tree does not use up
+    # descriptors; one given up is opened again by ".." from its child,
+    # which allows that lookup, as it let a child of its own be opened.
+    path: list[list] = [["", subdirs, fd]]
+    try:
+        for name in files:
+            yield name, fd, name
+        while path:
+            prefix, subdirs, fd = path[-1]
+            if not subdirs:
+                if len(path) > 1 and path[-2][2] is None:
+                    path[-2][2] = os.open("..", _DIR_FLAGS, dir_fd=fd)
+                path.pop()
+                os.close(fd)
+                continue
+            name = subdirs.pop()
+            try:
+                child = os.open(name, _DIR_FLAGS | os.O_NOFOLLOW, dir_fd=fd)
+            except OSError:
+                continue
+            if len(path) > 1 and path[-2][2] is not None:
+                os.close(path[-2][2])
+                path[-2][2] = None
+            prefix += name + "/"
+            subdirs, files = _listing(child)
+            path.append([prefix, subdirs, child])
+            for name in files:
+                yield prefix + name, child, name
+    finally:
+        for _, _, fd in path:
+            if fd is not None:
+                os.close(fd)
+
+
 def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> CorpusReport:
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
-    # Each file's POSIX path relative to root, by an explicit stack, since
-    # Path.rglob and os.walk recurse.  Symlinked files count, symlinked
-    # directories are not entered, unlistable directories are skipped.
-    found: list[str] = []
-    stack = [""]
-    while stack:
-        prefix = stack.pop()
-        try:
-            with os.scandir(root / prefix) as it:
-                entries = list(it)
-        except OSError:
-            continue
-        for entry in entries:
-            try:
-                if entry.is_dir(follow_symlinks=False):
-                    stack.append(prefix + entry.name + "/")
-                elif entry.is_file():
-                    found.append(prefix + entry.name)
-            except OSError:  # a symlink loop, say: not a file
-                pass
-    rows: list[FileStats] = []
-    for rel in sorted(found):
+    found: list[tuple[str, FileStats]] = []
+    for rel, dir_fd, file_name in _walk(root):
         # A name's bytes that are not UTF-8 are written as escapes, so the
         # report stays valid UTF-8; a backslash is doubled first, so that
         # no name reads as another's escape.
         name = os.fsencode(rel).replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
         try:
-            text = (root / rel).read_text(encoding="utf-8")
+            with open(file_name, encoding="utf-8", opener=partial(os.open, dir_fd=dir_fd)) as f:
+                text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
-            rows.append(FileStats(name, 0, 0, {}, error=str(exc)))
+            if isinstance(exc, OSError):
+                exc.filename = str(root / rel)  # the whole path, not one name
+            found.append((rel, FileStats(name, 0, 0, {}, error=str(exc))))
             continue
-        rows.append(file_stats(name, text, lex, config))
+        found.append((rel, file_stats(name, text, lex, config)))
+    found.sort(key=itemgetter(0))
+    rows = [row for _, row in found]
 
     total_words = sum(r.word_tokens for r in rows)
     total_clean = sum(r.clean_words for r in rows)

@@ -11,10 +11,12 @@ Five TSV resources (UTF-8, no header, '#' comments), one per role:
 
 Loading validates everything up front; a loaded Lexicon is immutable and
 safe to share. Its fields are the five resources; the indexes its
-queries use are cached properties, built on first use. Its one mutable
-part is a bounded per-word cache of rule results that ``rules.run_rules``
-keeps on it; a new Lexicon, including one made by ``dataclasses.replace``,
-starts with an empty cache.
+queries use are cached properties, built on first use. One of them,
+``_known_lengths`` (the distinct lengths of the known words), tells
+R-SEP and the rules' word gate which suffixes of a word to look up. Its
+one mutable part is a bounded per-word cache of rule results that
+``rules.run_rules`` keeps on it; a new Lexicon, including one made by
+``dataclasses.replace``, starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ class Lexicon:
         return folded
 
     @cached_property
-    def _longest_known(self) -> int:
-        return max(map(len, self.known_words), default=0)
+    def _known_lengths(self) -> tuple[int, ...]:
+        """The distinct lengths of the known words, shortest first."""
+        return tuple(sorted(set(map(len, self.known_words))))
 
     @cached_property
     def _rule_memo(self) -> dict:

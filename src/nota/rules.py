@@ -14,6 +14,14 @@ fire only on a word whose skeleton passes its gate; the memo also keeps
 which gates a word passes, and the two run only on the windows of those
 words.
 
+The word rules share one gate, ``_word_gate``, on a word's text and
+skeleton: a non-NOTA mark or Kasra before Alef, a marked article, a
+variant letter or a listed /g/ word, a final ا or ى, a listed irregular
+imperative, or a proper suffix that is a known word.  Every word-rule
+finding implies it, so on a memo miss a word where it is false gets no
+window and no rule call; tests/test_rules.py pins that soundness
+against the rules and their oracle.
+
 Severities drive fix mode: Error fixes are always safe to apply,
 Warning fixes carry lexicon evidence, Info is a suggestion only (the
 pronoun rule flags a genuinely ambiguous reading and is never applied).
@@ -298,23 +306,29 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
         return []
     # A word has one prefix of each length, so looking its prefixes up,
     # longest first, finds the longest listed form that applies.  What
-    # follows the prefix must be a known word, bare or after ال, so the
-    # walks stop once it is longer than any: on a long word that keeps
-    # them from slicing the word once per letter.
-    lengths = range(len(bare) - 1, max(len(bare) - lex._longest_known - 3, 0), -1)
-    for n in lengths:
-        if bare[n:] in known and bare[:n] in fused:
-            expanded = fused[bare[:n]]
-            return _split(word, n, f"fused preposition; write {expanded} separately", expanded)
-    for n in lengths:
-        rest = bare[n:]
-        if not (rest in known or len(rest) > 2 and rest.startswith(ALEF + LAM) and rest[2:] in known):
+    # follows the prefix must be a known word, bare or after ال, so only
+    # rests of a known word's length, or two more, are tried, shortest
+    # first, each looked up before the prefix is sliced: on a long word
+    # that keeps the walks from slicing the word once per letter.
+    size = len(bare)
+    lengths = lex._known_lengths
+    for r in lengths:
+        if r >= size:
+            break
+        if bare[-r:] in known and (head := bare[:-r]) in fused:
+            expanded = fused[head]
+            return _split(word, size - r, f"fused preposition; write {expanded} separately", expanded)
+    for r in sorted({*lengths, *(r + 2 for r in lengths)}):
+        if r >= size:
+            break
+        rest = bare[-r:]
+        if not (rest in known or r > 2 and rest.startswith(ALEF + LAM) and rest[2:] in known):
             continue
-        head = bare[:n]
-        if n > 1 and head in lex.prepositions:
-            return _split(word, n, f"preposition {head} is written separate from the noun")
+        head = bare[:-r]
+        if len(head) > 1 and head in lex.prepositions:
+            return _split(word, size - r, f"preposition {head} is written separate from the noun")
         if head == WAW:
-            return _split(word, n, "the conjunction و is written separate from the following word")
+            return _split(word, 1, "the conjunction و is written separate from the following word")
     return []
 
 
@@ -344,6 +358,30 @@ _WORD_RULES = frozenset({"R-VOW", "R-CONS", "R-ART", "R-AMQ", "R-IMP", "R-SEP"})
 
 # The other rules, each with its gate.
 _CONTEXT_GATES: Mapping[str, Callable[[str], bool]] = {"R-FUT": _fut_gate, "R-PRON": _pron_gate}
+
+
+def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
+    """Whether a word rule can find anything in the word ``text`` with
+    skeleton ``bare``: false means that all six return []."""
+    if (
+        _BAD_VOWEL.search(text)  # R-VOW
+        or (m := _ARTICLE.match(text)) and m.end() > 2  # R-ART
+        or not lex.variant_map.keys().isdisjoint(text)  # R-CONS
+        or bare in lex.gaf_words
+        or bare.endswith((ALEF, ALEF_MAQSURA))  # R-AMQ
+        or bare in lex._irregulars  # R-IMP
+    ):
+        return True
+    # R-SEP: what follows its split is a known word, bare or after ال, so
+    # a proper suffix of the word is one.
+    known = lex.known_words
+    for r in lex._known_lengths:
+        if r >= len(bare):
+            break
+        if bare[-r:] in known:
+            return True
+    return False
+
 
 # Distinct words the memo in run_rules holds before it is emptied.
 _WORD_MEMO_CAP = 4096
@@ -401,17 +439,18 @@ def run_rules(
         memo = lex._rule_memo[config_key] = {}
     out: list[Diagnostic] = []
     for prev, word, nxt in _neighbours(tokens):
-        entry = memo.get(word.text)
+        text = word.text
+        entry = memo.get(text)
         if entry is None:
-            at_zero = RuleWindow(Token(word.kind, word.text, 0, len(word.text)))
-            bare = skeleton(word.text)
-            entry = (
-                tuple(d for rule in word_rules for d in rule(at_zero, lex, fused)),
-                tuple(rule for rule, gate in context_rules if gate(bare)),
-            )
+            bare = skeleton(text)
+            found: tuple[Diagnostic, ...] = ()
+            if word_rules and _word_gate(text, bare, lex):
+                at_zero = RuleWindow(Token(word.kind, text, 0, len(text)))
+                found = tuple(d for rule in word_rules for d in rule(at_zero, lex, fused))
+            entry = (found, tuple(rule for rule, gate in context_rules if gate(bare)))
             if len(memo) >= _WORD_MEMO_CAP:
                 memo.clear()
-            memo[word.text] = entry
+            memo[text] = entry
         found, gated = entry
         if found:
             base = word.start

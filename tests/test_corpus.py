@@ -94,6 +94,33 @@ def test_deep_tree_is_walked_without_recursion(lex, config, tmp_path):
             os.rmdir(d)
 
 
+def test_tree_longer_than_path_max_is_walked(lex, config, tmp_path):
+    # 21 levels of 200-letter names: the deepest directory's path is
+    # longer than Linux's PATH_MAX of 4096 bytes, so it is built, filled
+    # and removed by directory descriptors.
+    name, depth = "d" * 200, 4096 // 200 + 1
+    fds = [os.open(tmp_path, os.O_RDONLY | os.O_DIRECTORY)]
+    try:
+        for _ in range(depth):
+            os.mkdir(name, dir_fd=fds[-1])
+            fds.append(os.open(name, os.O_RDONLY | os.O_DIRECTORY, dir_fd=fds[-1]))
+        for fd in (fds[0], fds[-1]):
+            f = os.open("a.txt", os.O_WRONLY | os.O_CREAT, dir_fd=fd)
+            os.write(f, "باش نمشي".encode("utf-8"))
+            os.close(f)
+        report = collect_stats(tmp_path, lex, config)
+        assert report.files == 2
+        assert [r.file for r in report.per_file] == ["a.txt", (name + "/") * depth + "a.txt"]
+        assert [r.diagnostics_per_rule for r in report.per_file] == [{"R-FUT": 1}] * 2
+    finally:
+        for i in range(len(fds) - 1, 0, -1):
+            if i == len(fds) - 1 and "a.txt" in os.listdir(fds[i]):
+                os.unlink("a.txt", dir_fd=fds[i])
+            os.close(fds[i])
+            os.rmdir(name, dir_fd=fds[i - 1])
+        os.close(fds[0])
+
+
 def test_escaped_name_differs_from_a_literal_backslash(lex, config, tmp_path):
     try:
         with open(os.path.join(os.fsencode(tmp_path), b"\xff.txt"), "wb") as f:

@@ -24,6 +24,7 @@ from nota.rules import (
     _RULES,
     _WORD_MEMO_CAP,
     _WORD_RULES,
+    _word_gate,
     DEFAULT_FUSED_PREPOSITIONS,
     RULE_IDS,
     RULE_PRIORITY,
@@ -700,3 +701,65 @@ def test_sep_matches_oracle_on_long_words(lex, fused):
     for window in windows(tokenize(text)):
         expected = rules_oracle.rule_sep(window, lexicon, fused)
         assert rule_sep(window, lexicon, fused) == expected, window.word.text
+
+
+# --- the word gate in run_rules --------------------------------------------------
+
+# Lexicons for the gate: the default one, a synthetic one, one with long
+# known words, and one whose variant map makes common letters variants.
+_DEFAULT = default_lexicon()
+GATE_LEXICONS = {
+    "default": _DEFAULT,
+    "synthetic": SYNTHETIC,
+    "long known": replace(_DEFAULT, known_words=_DEFAULT.known_words | set(LONG_KNOWN)),
+    "variant map": default_lexicon(variant_map={"گ": "ڨ", "ڥ": "ڤ", "ف": "ڤ", "ب": "پ"}),
+}
+
+
+def _assert_rules_find_nothing_where_the_gate_fails(texts, lexicon, fused) -> int:
+    """Every word rule and its oracle find nothing in a word of ``texts``
+    whose gate is false; returns how many such words there were."""
+    fused = DEFAULT_FUSED_PREPOSITIONS if fused is None else fused
+    closed = 0
+    for text in texts:
+        for word in tokenize(text):
+            if word.kind is not TokenKind.WORD or _word_gate(word.text, skeleton(word.text), lexicon):
+                continue
+            closed += 1
+            window = RuleWindow(word)
+            for rid in sorted(_WORD_RULES):
+                assert _RULES[rid](window, lexicon, fused) == [], (rid, word.text)
+                if rid in ORACLE_RULES:
+                    assert ORACLE_RULES[rid](window, lexicon, fused) == [], (rid, word.text)
+    return closed
+
+
+@pytest.mark.parametrize("fused", FUSED_MAPS)
+@pytest.mark.parametrize("name", sorted(GATE_LEXICONS))
+def test_word_rules_find_nothing_where_the_word_gate_fails(name, fused):
+    """What lets run_rules skip every word rule on a word whose gate fails."""
+    lexicon = GATE_LEXICONS[name]
+    rng = random.Random(name)
+    texts = [
+        *DIRTY_WORDS,
+        *lexicon_word_pool(lexicon),
+        *ODD_WORDS,
+        *(_bait(rng, lexicon) for _ in range(50)),
+        *(random_word(rng) for _ in range(300)),
+    ]
+    # The gate closes on some words, so the test is not vacuous.
+    assert _assert_rules_find_nothing_where_the_gate_fails(texts, lexicon, fused) > 0
+
+
+@pytest.mark.parametrize("name", sorted(GATE_LEXICONS))
+def test_word_gate_on_hostile_docs(name):
+    lexicon = GATE_LEXICONS[name]
+    for fused in FUSED_MAPS:
+        _assert_rules_find_nothing_where_the_gate_fails(HOSTILE_DOCS.values(), lexicon, fused)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide=wide_text, name=st.sampled_from(sorted(GATE_LEXICONS)), fused=st.sampled_from(FUSED_MAPS))
+def test_word_gate_on_wide_text(wide, name, fused):
+    texts = [wide, canonicalize(wide).text]
+    _assert_rules_find_nothing_where_the_gate_fails(texts, GATE_LEXICONS[name], fused)
