@@ -6,30 +6,45 @@ Warning fixes until a pass finds nothing more to do; the result is a
 fixpoint of the enabled rules.  Diagnostics always carry spans into the
 original input; the applied rewrites are recorded in a fix trace.
 
-Only the first pass lints the whole text.  No token crosses whitespace
-and a rule window reaches one non-space token on each side, so a fix
-can change the findings of the whitespace-delimited runs it touches and
-of one run on each side of them, no others.  After each rewrite only
-those runs are re-linted, with one more run on each side as context
-(Wagner & Graham, "Efficient and Flexible Incremental Parsing", TOPLAS
-1998).  Nothing found before carries over: the fix choice is maximal,
-so each fixable finding of a pass overlaps a chosen fix, in a run the
-pass rewrote, and a finding anywhere else would have been there, and
-been chosen, the pass before.
+Only the first pass tokenizes and lints the whole text.  Every finding
+lies inside one word, so a pass rewrites words and nothing between them,
+and each rule reads its word and at most the one neighbouring word, across
+spaces, that its declared reach in ``nota.rules`` names.  So after a
+rewrite the loop re-lints, through the rule memo, only the words that came
+out of the rewritten ones (an R-SEP split gives two, a deleted lone mark
+none) and, on the unchanged word on either side of them, the rules whose
+reach is that side, where the word passes their gate (Wagner & Graham,
+"Efficient and Flexible Incremental Parsing", TOPLAS 1998).  Every other
+rule sees the window it saw before, so finds what it found; and none of
+that is fixable, for the fix choice is maximal: each fixable finding of a
+pass overlaps a chosen fix, so lies in a word the pass rewrote.
+
+The loop never tokenizes the whole text again: ``_Chain`` finds the
+words and their neighbours from the first pass's tokens and, for each
+rewritten word token, the tokens of the text it became.
 """
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum, auto
+from itertools import accumulate
+from operator import attrgetter
 
 from .config import Config, ConfigError, DEFAULT_CONFIG
 from .lexicon import Lexicon
-from .rules import Diagnostic, RULE_PRIORITY, Severity, run_rules
+from .rules import (
+    Diagnostic,
+    RULE_PRIORITY,
+    RuleWindow,
+    Severity,
+    _remember,
+    _RuleSet,
+    run_rules,
+)
 from .script import Canonical, canonicalize
-from .tokenize import Token, tokenize
+from .tokenize import Token, TokenKind, tokenize
 
 
 class Mode(Enum):
@@ -59,6 +74,8 @@ class RunResult:
 
 
 _PRIORITY_INDEX = {rid: i for i, rid in enumerate(RULE_PRIORITY)}
+_START = attrgetter("start")
+_SPACE, _WORDS = TokenKind.SPACE, TokenKind.WORD
 
 
 def validate_setup(lex: Lexicon, config: Config) -> None:
@@ -120,7 +137,7 @@ def normalize(
     mode: Mode = Mode.CHECK,
 ) -> RunResult:
     """Run the full pipeline over one document."""
-    canon, _, first_pass = _lint(text, lex, config)
+    canon, tokens, first_pass = _lint(text, lex, config)
     reported = tuple(
         Diagnostic(d.rule, *canon.to_original(d.start, d.end), d.severity, d.message, d.replacement)
         for d in first_pass
@@ -132,6 +149,7 @@ def normalize(
     current = canon.text
     fixes: list[FixEvent] = []
     passes = 0
+    chain = _Chain(tokens, lex, _RuleSet(lex, config.rules, config.fused_prepositions))
     pending = [d for d in first_pass if _fixable(d)]
     while True:
         passes += 1
@@ -141,28 +159,11 @@ def normalize(
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
-        chosen = sorted(_select_nonoverlapping(pending), key=lambda d: d.start)
-        pieces = []
-        spans = []  # each replacement's span in the rewritten text
-        pos = shift = 0
-        for d in chosen:
-            pieces += (current[pos : d.start], d.replacement)
-            spans.append((d.start + shift, d.start + shift + len(d.replacement)))
-            shift += len(d.replacement) - (d.end - d.start)
-            pos = d.end
-        pieces.append(current[pos:])
-        current = "".join(pieces)
+        chosen = sorted(_select_nonoverlapping(pending), key=_START)
+        current, pending = chain.apply(current, chosen)
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
         )
-        pending = []
-        for lo, keep_lo, keep_hi, hi in _zones(current, spans):
-            _, found = _lint_canonical(current[lo:hi], lex, config)
-            pending += (
-                Diagnostic(d.rule, d.start + lo, d.end + lo, d.severity, d.message, d.replacement)
-                for d in found
-                if _fixable(d) and keep_lo <= d.start + lo < keep_hi
-            )
 
     return RunResult(
         output=current,
@@ -172,43 +173,198 @@ def normalize(
     )
 
 
-# The rest of a run of non-space characters, and the spaces after a run
-# with the run that follows them.
-_RUN_REST = re.compile(r"\S*")
-_NEXT_RUN = re.compile(r"\s*\S*")
+class _Layout:
+    """The words of a region's text, each with its offset, and where
+    whitespace alone separates them: ``links`` for each word and the next,
+    ``head`` and ``tail`` for the first and the last word and the words
+    around the region.  In a region without words both tell whether it
+    passes those words through to each other."""
+
+    __slots__ = ("words", "links", "head", "tail")
+
+    def __init__(self, text: str) -> None:
+        self.words: list[tuple[int, str]] = []
+        self.links: list[bool] = []
+        blank = True  # no OTHER run since the last word
+        for kind, word, start, _ in tokenize(text):
+            if kind is _WORDS:
+                if self.words:
+                    self.links.append(blank)
+                else:
+                    self.head = blank
+                self.words.append((start, word))
+                blank = True
+            elif kind is TokenKind.OTHER:
+                blank = False
+        self.tail = blank
+        if not self.words:
+            self.head = blank
 
 
-def _back(text: str, pos: int, floor: int, space: bool) -> int:
-    """Step left from ``pos`` over spaces (or over non-spaces), not below ``floor``."""
-    while pos > floor and text[pos - 1].isspace() is space:
-        pos -= 1
-    return pos
+# A word of the text being fixed: the first-pass token whose region holds
+# it, and its index among the words of that region.
+_WordAt = tuple[int, int]
 
 
-def _zones(text: str, spans: list[tuple[int, int]]) -> list[list[int]]:
-    """The ``[ctx_lo, keep_lo, keep_hi, ctx_hi]`` zones to re-lint around ``spans``.
+class _Chain:
+    """The words of the text being fixed, found through the first pass's
+    tokens and the regions that the rewritten word tokens became.
 
-    A span, sorted and pairwise disjoint, damages the runs of non-space
-    characters it touches, none if it deleted a whole run.  The keep zone
-    adds one run on each side; the context zone one more.  A zone whose
-    context touches or overlaps the previous one's merges with it, and the
-    scan left from a span stops at the previous context, so no run is
-    scanned twice.
+    Every fix lies inside one word, so what a word token becomes, its
+    region, never merges with another; two words are neighbours across the
+    spaces between their regions, or through regions that became blank.
+    A region starts where its token did, shifted by the growth of the
+    rewritten regions before it.
     """
-    zones: list[list[int]] = []
-    hi = -1  # the end of the last zone's damaged runs
-    for a, b in spans:
-        if not zones or a > zones[-1][3]:
-            floor = zones[-1][3] if zones else 0
-            lo = _back(text, a, floor, False)  # where the damaged runs start
-            keep_lo = _back(text, _back(text, lo, floor, True), floor, False)
-            ctx_lo = _back(text, _back(text, keep_lo, floor, True), floor, False)
-            if not zones or _back(text, ctx_lo, floor, True) > floor:
-                zones.append([ctx_lo, keep_lo, 0, 0])
-                hi = -1
-        if b > hi:
-            zone = zones[-1]
-            hi = _RUN_REST.match(text, b).end()
-            zone[2] = _NEXT_RUN.match(text, hi).end()
-            zone[3] = _NEXT_RUN.match(text, zone[2]).end()
-    return zones
+
+    def __init__(self, tokens: list[Token], lex: Lexicon, rules: _RuleSet) -> None:
+        self.tokens = tokens
+        self.lex = lex
+        self.rules = rules
+        self.texts: dict[int, str] = {}  # the text of each rewritten region, by token
+        self.order: list[int] = []  # the rewritten regions, in order
+        self.growth: list[int] = []  # how much those up to each one grew, in all
+        self.layouts: dict[str, _Layout] = {}
+        self.owners: dict[int, int] = {}  # the region of each pending finding, by its start
+
+    def offset(self, index: int) -> int:
+        """The offset of region ``index`` in the current text."""
+        k = bisect_left(self.order, index)
+        return self.tokens[index].start + (self.growth[k - 1] if k else 0)
+
+    def layout(self, index: int) -> _Layout:
+        text = self.texts.get(index, self.tokens[index].text)
+        layout = self.layouts.get(text)
+        if layout is None:
+            layout = self.layouts[text] = _Layout(text)
+        return layout
+
+    def token(self, at: _WordAt | None) -> Token | None:
+        if at is None:
+            return None
+        offset, text = self.layout(at[0]).words[at[1]]
+        start = self.offset(at[0]) + offset
+        return Token(_WORDS, text, start, start + len(text))
+
+    def near(self, index: int, step: int) -> _WordAt | None:
+        """The word across spaces only before region ``index`` (``step`` -2)
+        or after it (``step`` 2), if there is one."""
+        tokens = self.tokens
+        while 0 <= index + step < len(tokens) and tokens[index + step // 2].kind is _SPACE:
+            index += step
+            if tokens[index].kind is not _WORDS:
+                return None
+            if index not in self.texts:
+                return index, 0
+            layout = self.layout(index)
+            if layout.words:
+                if not (layout.tail if step < 0 else layout.head):
+                    return None
+                return index, len(layout.words) - 1 if step < 0 else 0
+            if not layout.head:
+                return None
+        return None
+
+    def window(self, at: _WordAt) -> RuleWindow:
+        index, k = at
+        layout = self.layout(index)
+        if k:
+            prev = (index, k - 1) if layout.links[k - 1] else None
+        else:
+            prev = self.near(index, -2) if layout.head else None
+        if k < len(layout.links):
+            nxt = (index, k + 1) if layout.links[k] else None
+        else:
+            nxt = self.near(index, 2) if layout.tail else None
+        return RuleWindow(self.token(at), self.token(prev), self.token(nxt))
+
+    def apply(self, text: str, chosen: list[Diagnostic]) -> tuple[str, list[Diagnostic]]:
+        """Apply ``chosen``, sorted and each inside one word, to ``text``.
+
+        Returns the new text and its fixable findings, which lie in the
+        rewritten regions and in the words next to them.
+        """
+        tokens, texts = self.tokens, self.texts
+        if texts:  # a later pass: the re-lint noted the region of each finding
+            owners = self.owners
+            regions = [owners[d.start] for d in chosen]
+        else:
+            starts = list(map(_START, tokens))
+            regions = [bisect_right(starts, d.start) - 1 for d in chosen]
+        pieces = []
+        rewritten: list[int] = []
+        bounds: list[int] = []  # where each rewritten region starts and ends in the new text
+        pos = shift = 0
+        for index, d in zip(regions, chosen):
+            if not rewritten or rewritten[-1] != index:
+                at = self.offset(index)
+                rewritten.append(index)
+                bounds += (at + shift, at + len(texts.get(index, tokens[index].text)) + shift)
+            pieces.append(text[pos : d.start])
+            pieces.append(d.replacement)
+            pos = d.end
+            delta = len(d.replacement) - (d.end - d.start)
+            shift += delta
+            bounds[-1] += delta
+        pieces.append(text[pos:])
+        text = "".join(pieces)
+        for k, index in enumerate(rewritten):
+            texts[index] = text[bounds[2 * k] : bounds[2 * k + 1]]
+        self.order = order = sorted(texts)
+        self.growth = list(accumulate(len(texts[i]) - len(tokens[i].text) for i in order))
+        return text, self._relint(rewritten, bounds[::2])
+
+    def _relint(self, rewritten: list[int], starts: list[int]) -> list[Diagnostic]:
+        """The fixable findings in the ``rewritten`` regions, which start at
+        ``starts``, and those of the context rules whose reach is one of
+        those regions on the words next to it."""
+        lex, rules, tokens, texts = self.lex, self.rules, self.tokens, self.texts
+        memo = rules.memo
+        self.owners = owners = {}
+        found: list[Diagnostic] = []
+        done = set(rewritten)
+        for index, start in zip(rewritten, starts):
+            for k, (offset, text) in enumerate(self.layout(index).words):
+                word_found, gated = memo.get(text) or _remember(text, lex, rules)
+                at = start + offset
+                for d in word_found:
+                    if _fixable(d):
+                        found.append(
+                            Diagnostic(d.rule, d.start + at, d.end + at, d.severity, d.message, d.replacement)
+                        )
+                        owners[d.start + at] = index
+                if gated:
+                    self._run((index, k), gated, found)
+            for step, side in ((-2, "next_word"), (2, "prev_word")):
+                j = index + step
+                if not (
+                    0 <= j < len(tokens)
+                    and tokens[index + step // 2].kind is _SPACE
+                    and tokens[j].kind is _WORDS
+                ):
+                    continue  # no word across spaces on this side
+                if j in done:
+                    continue  # re-linted whole above; if it became blank, it reaches past itself
+                if j not in texts:
+                    near, text = (j, 0), tokens[j].text
+                else:
+                    near = self.near(index, step)
+                    if near is None or near[0] in done:
+                        continue
+                    text = self.layout(near[0]).words[near[1]][1]
+                gated = (memo.get(text) or _remember(text, lex, rules))[1]
+                if gated:
+                    todo = [rule for rule, _, reach in rules.context_rules if reach == side and rule in gated]
+                    if todo:
+                        self._run(near, todo, found)
+        return found
+
+    def _run(self, at: _WordAt, todo: tuple | list, found: list[Diagnostic]) -> None:
+        """Run the rules ``todo`` on the window of the word ``at``, keeping
+        their fixable findings in ``found``."""
+        window = self.window(at)
+        for rule in todo:
+            for d in rule(window, self.lex, self.rules.fused):
+                if _fixable(d):
+                    found.append(d)
+                    self.owners[d.start] = at[0]

@@ -9,10 +9,12 @@ is a non-empty span inside one word token, so it holds no whitespace;
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. ``run_rules`` runs
 them once per distinct word text and keeps their findings in a bounded
-memo on the Lexicon. R-FUT and R-PRON read a neighbour, but each can
-fire only on a word whose skeleton passes its gate; the memo also keeps
-which gates a word passes, and the two run only on the windows of those
-words.
+memo on the Lexicon. R-FUT reads the next word and R-PRON the previous
+one, but each can fire only on a word whose skeleton passes its gate;
+the memo also keeps which gates a word passes, and the two run only on
+the windows of those words.  What each rule reads is its declared reach,
+``_REACH``; the fix loop re-runs a rule on an unchanged word only where
+its reach changed.
 
 The word rules share one gate, ``_word_gate``, on a word's text and
 skeleton: a non-NOTA mark or Kasra before Alef, a marked article, a
@@ -352,12 +354,22 @@ _RULES: Mapping[str, Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Dia
 }
 
 
-# The rules that read only ``window.word``; tests/test_rules.py checks
-# that each gives the same findings whatever the neighbours.
+# The rules that read only ``window.word``.
 _WORD_RULES = frozenset({"R-VOW", "R-CONS", "R-ART", "R-AMQ", "R-IMP", "R-SEP"})
 
-# The other rules, each with its gate.
-_CONTEXT_GATES: Mapping[str, Callable[[str], bool]] = {"R-FUT": _fut_gate, "R-PRON": _pron_gate}
+# The other rules, each with its gate and the one neighbour it reads.
+_CONTEXT_GATES: Mapping[str, tuple[Callable[[str], bool], str]] = {
+    "R-FUT": (_fut_gate, "next_word"),
+    "R-PRON": (_pron_gate, "prev_word"),
+}
+
+# Each rule's reach: the field of its window besides ``word`` that it
+# reads, None for a word rule.  tests/test_rules.py checks that every
+# rule has one and that nothing outside it changes a rule's findings.
+_REACH: Mapping[str, str | None] = {
+    **dict.fromkeys(_WORD_RULES),
+    **{rid: reach for rid, (_, reach) in _CONTEXT_GATES.items()},
+}
 
 
 def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
@@ -410,6 +422,57 @@ def windows(tokens: list[Token]) -> list[RuleWindow]:
     return [RuleWindow(w, p, n) for p, w, n in _neighbours(tokens)]
 
 
+class _RuleSet:
+    """The enabled rules of one configuration, with the memo of their
+    findings per word text that ``lex`` keeps for it; another rule set or
+    fused map empties that memo."""
+
+    __slots__ = ("word_rules", "context_rules", "fused", "memo")
+
+    def __init__(
+        self,
+        lex: Lexicon,
+        enabled: Mapping[str, bool] | None,
+        fused_prepositions: Mapping[str, str] | None,
+    ) -> None:
+        fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
+        active = [
+            rid for rid in RULE_PRIORITY if enabled is None or enabled.get(rid, True)
+        ]
+        self.word_rules = [_RULES[rid] for rid in active if _REACH[rid] is None]
+        # Each enabled context rule, with its gate and its reach.
+        self.context_rules = [
+            (_RULES[rid], _CONTEXT_GATES[rid][0], _REACH[rid]) for rid in active if _REACH[rid]
+        ]
+        self.fused = fused
+        config_key = (tuple(active), frozenset(fused.items()))
+        memo = lex._rule_memo.get(config_key)
+        if memo is None:
+            lex._rule_memo.clear()
+            memo = lex._rule_memo[config_key] = {}
+        self.memo: dict[str, tuple[tuple[Diagnostic, ...], tuple]] = memo
+
+
+def _remember(text: str, lex: Lexicon, rules: _RuleSet) -> tuple[tuple[Diagnostic, ...], tuple]:
+    """The memo entry of a word text the memo lacks, stored: the word
+    rules' findings at offset 0, and the context rules whose gate the
+    word's skeleton passes."""
+    bare = skeleton(text)
+    found: tuple[Diagnostic, ...] = ()
+    if rules.word_rules and _word_gate(text, bare, lex):
+        at_zero = RuleWindow(Token(TokenKind.WORD, text, 0, len(text)))
+        found = tuple(d for rule in rules.word_rules for d in rule(at_zero, lex, rules.fused))
+    gated: tuple = ()
+    for rule, gate, _ in rules.context_rules:
+        if gate(bare):
+            gated += (rule,)
+    memo = rules.memo
+    if len(memo) >= _WORD_MEMO_CAP:
+        memo.clear()
+    entry = memo[text] = (found, gated)
+    return entry
+
+
 def run_rules(
     tokens: list[Token],
     lex: Lexicon,
@@ -420,37 +483,19 @@ def run_rules(
 
     The word-local rules run once per distinct word text, on the word
     alone at offset 0.  The memo keeps their findings, with the enabled
-    context rules whose gate the word's skeleton passes, on ``lex`` for
-    this rule set and fused map, at most ``_WORD_MEMO_CAP`` words; another
-    rule set or fused map empties it.  The findings are shifted to each
-    window's word, and a window is built only for a word with a context
-    rule to run.
+    context rules whose gate the word's skeleton passes, at most
+    ``_WORD_MEMO_CAP`` words.  The findings are shifted to each window's
+    word, and a window is built only for a word with a context rule to
+    run.
     """
-    fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
-    active = [
-        rid for rid in RULE_PRIORITY if enabled is None or enabled.get(rid, True)
-    ]
-    word_rules = [_RULES[rid] for rid in active if rid in _WORD_RULES]
-    context_rules = [(_RULES[rid], _CONTEXT_GATES[rid]) for rid in active if rid in _CONTEXT_GATES]
-    config_key = (tuple(active), frozenset(fused.items()))
-    memo = lex._rule_memo.get(config_key)
-    if memo is None:
-        lex._rule_memo.clear()
-        memo = lex._rule_memo[config_key] = {}
+    rules = _RuleSet(lex, enabled, fused_prepositions)
+    memo, fused = rules.memo, rules.fused
     out: list[Diagnostic] = []
     for prev, word, nxt in _neighbours(tokens):
         text = word.text
         entry = memo.get(text)
         if entry is None:
-            bare = skeleton(text)
-            found: tuple[Diagnostic, ...] = ()
-            if word_rules and _word_gate(text, bare, lex):
-                at_zero = RuleWindow(Token(word.kind, text, 0, len(text)))
-                found = tuple(d for rule in word_rules for d in rule(at_zero, lex, fused))
-            entry = (found, tuple(rule for rule, gate in context_rules if gate(bare)))
-            if len(memo) >= _WORD_MEMO_CAP:
-                memo.clear()
-            memo[text] = entry
+            entry = _remember(text, lex, rules)
         found, gated = entry
         if found:
             base = word.start

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nota.pipeline
+import nota.rules
 import pipeline_oracle
 import rules_oracle
 from gen import (
@@ -275,6 +277,26 @@ def test_fix_loop_matches_oracle(lex, seed, wide, synthetic, enabled, fused, max
     assert _run(text, lexicon, config) == _run(text, lexicon, config, pipeline_oracle.normalize)
 
 
+# The default lexicon with باش also listed as a known word, so that R-SEP
+# splits وباش and the new second word can take R-FUT in the next pass.
+BAASH_KNOWN = replace(default_lexicon(), known_words=default_lexicon().known_words | {"باش"})
+# A verb that a /g/ respelling makes, one pass after R-VOW has cleared the
+# mark its span overlaps: the باش before it then takes R-FUT a pass later
+# still, inside a word that an earlier pass split off.
+QAF_VERB_LEXICON = load_lexicon({
+    "verbs": ["ڨال\tيڨول\t0\tتڨول"],
+    "prepositions": ["في"],
+    "known_words": ["باش"],
+    "gaf_words": ["يقول\tيڨول"],
+})
+EDGE_LEXICONS = {
+    "وباش نمشي": BAASH_KNOWN,
+    "وباش. نمشي": BAASH_KNOWN,
+    "وباش يقولٌ": QAF_VERB_LEXICON,
+    "وباش ً يقولٌ": QAF_VERB_LEXICON,
+}
+
+
 @pytest.mark.parametrize("text", [
     "باش ً نمشي",       # a lone mark deleted whole joins باش to the verb
     "باش ً ً نمشي",
@@ -285,11 +307,61 @@ def test_fix_loop_matches_oracle(lex, seed, wide, synthetic, enabled, fused, max
     " ".join(FIXED_WORDS * 5),
     "\n".join(FIXED_WORDS * 5),
     "".join(FIXED_WORDS * 5),
+    "باٌش نمشي",         # an R-VOW fix makes باش, which takes R-FUT next pass
+    "ٌباش نمشي",
+    "باٌش. نمشي",        # the full stop keeps the verb out of باش's window
+    "وباش نمشي",         # an R-SEP split whose second word takes R-FUT next pass
+    "وباش. نمشي",
+    "والدار",            # a fix in the last word, with no newline after it
+    "فالدار باش نمشي",   # two rules fixed in one pass
+    "اَلدار باٌش نمشي",   # a fix that shortens the text before a fix next pass
+    "وباش يقولٌ",         # R-FUT in pass 3, on a word that pass 1 made
+    "وباش ً يقولٌ",
 ])
 @pytest.mark.parametrize("max_passes", [1, 2, 4])
 def test_fix_loop_matches_oracle_on_edges(lex, text, max_passes):
+    lexicon = EDGE_LEXICONS.get(text, lex)
     config = Config(max_passes=max_passes)
-    assert _run(text, lex, config) == _run(text, lex, config, pipeline_oracle.normalize)
+    assert _run(text, lexicon, config) == _run(text, lexicon, config, pipeline_oracle.normalize)
+
+
+@pytest.mark.parametrize("text, rules, passes", [
+    ("باٌش نمشي", ["R-VOW", "R-FUT"], 3),
+    ("ٌباش نمشي", ["R-VOW", "R-FUT"], 3),
+    ("باٌش. نمشي", ["R-VOW"], 2),
+    ("وباش نمشي", ["R-SEP", "R-FUT"], 3),
+    ("وباش. نمشي", ["R-SEP"], 2),
+    ("والدار", ["R-SEP"], 2),
+    ("فالدار باش نمشي", ["R-FUT", "R-SEP"], 2),
+    ("وباش يقولٌ", ["R-VOW", "R-SEP", "R-CONS", "R-FUT"], 4),
+])
+def test_fix_loop_edges_take_the_fixes_named(lex, text, rules, passes):
+    """What each edge above is there for: the fixes and passes it takes."""
+    result = normalize(text, EDGE_LEXICONS.get(text, lex), mode=Mode.FIX)
+    assert [f.rule for f in result.fixes] == rules
+    assert result.passes_used == passes
+
+
+def test_fix_loop_relints_no_more_than_the_first_pass_as_text_grows(monkeypatch, lex):
+    """Passes after the first re-lint a bounded neighbourhood of each fix,
+    and read its words through ``tokenize`` too: with one fix on line 1 of
+    N, the text handed to ``tokenize`` is the first pass's plus a part
+    that does not grow with N."""
+    seen: list[int] = []
+    original = nota.pipeline.tokenize
+
+    def counted(text):
+        seen.append(len(text))
+        return original(text)
+
+    monkeypatch.setattr(nota.pipeline, "tokenize", counted)
+    for lines in (10, 100, 1000):
+        text = "اَلدار قدام الحومة\n" + "بش نمشي في الدار\n" * (lines - 1)
+        seen.clear()
+        result = normalize(text, lex, mode=Mode.FIX)
+        assert [f.rule for f in result.fixes] == ["R-ART"]
+        assert seen[0] == len(text)
+        assert sum(seen) - len(text) <= 100, lines
 
 
 # A verb spelled with ڨ, so that a fix inside a word can make it a verb
@@ -307,6 +379,59 @@ def test_fix_inside_a_word_relints_the_word_before(text):
     result = _run(text, GAF_VERB_LEXICON, config)
     assert result == _run(text, GAF_VERB_LEXICON, config, pipeline_oracle.normalize)
     assert "R-FUT" in {f.rule for f in result.fixes}
+
+
+# R-PRON is the only rule that reads the previous word, and it is Info, so
+# nothing it finds is fixed.  The tests below raise it to a Warning to
+# reach the fix loop's previous-word side: ما كلموش then takes كلمهوش.
+def _warning_pron(window, lex, fused):
+    return [replace(d, severity=Severity.WARNING) for d in nota.rules.rule_pron(window, lex, fused)]
+
+
+def _split_lexicon() -> Lexicon:
+    """A fresh lexicon, so that no memo holds the Info rule, with كلموش
+    and نمشي known, so that R-SEP splits a prefix off them."""
+    base = default_lexicon()
+    return replace(base, known_words=base.known_words | {"كلموش", "نمشي"})
+
+
+PRON_WORDS = ["ما", "م", "ماٌ", "وما", "كلموش", "كلموشٌ", "وكلموش", "ماكلموش", "مكلموش", "ً", "باش", "نمشي"]
+PRON_FUSED = [DEFAULT_FUSED_PREPOSITIONS, {"ما": "ما "}, {"ما": "ما."}, {"و": "."}, {"و": ". "}]
+
+
+@pytest.mark.parametrize("text, fused, rules", [
+    ("وما كلموش", DEFAULT_FUSED_PREPOSITIONS, ["R-SEP", "R-PRON"]),  # the word after a split
+    ("ما ً كلموش", DEFAULT_FUSED_PREPOSITIONS, ["R-VOW", "R-PRON"]),  # across a deleted word
+    ("ماكلموش", {"ما": "ما "}, ["R-SEP", "R-PRON"]),  # inside a split, across its space
+    ("ماكلموش", {"ما": "ما."}, ["R-SEP"]),  # inside a split, across a full stop
+    ("ما وكلموش", {"و": "."}, ["R-SEP"]),  # a split that starts with a full stop
+    ("بنمشي", {"ب": "باش "}, ["R-SEP", "R-FUT"]),  # R-FUT inside a split, across its space
+    ("بنمشي", {"ب": "باش."}, ["R-SEP"]),  # and across a full stop
+])
+def test_fix_loop_relints_the_words_next_to_a_fix(text, fused, rules):
+    config = Config(fused_prepositions=fused)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(nota.rules._RULES, "R-PRON", _warning_pron)
+        result = _run(text, _split_lexicon(), config)
+        assert result == _run(text, _split_lexicon(), config, pipeline_oracle.normalize)
+    assert [f.rule for f in result.fixes] == rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(PRON_WORDS), min_size=1, max_size=12),
+    gaps=st.lists(st.sampled_from([" ", "  ", "\n", ".", " . ", ""]), min_size=12, max_size=12),
+    fused=st.sampled_from(PRON_FUSED),
+    max_passes=st.integers(1, 4),
+)
+def test_fix_loop_matches_oracle_with_a_fixable_previous_word_rule(words, gaps, fused, max_passes):
+    text = "".join(w + g for w, g in zip(words, gaps))
+    config = Config(max_passes=max_passes, fused_prepositions=fused)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(nota.rules._RULES, "R-PRON", _warning_pron)
+        assert _run(text, _split_lexicon(), config) == _run(
+            text, _split_lexicon(), config, pipeline_oracle.normalize
+        )
 
 
 # --- hostile sizes -------------------------------------------------------------

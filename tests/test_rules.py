@@ -21,6 +21,7 @@ from gen import (
 from nota.lexicon import Lexicon, VerbEntry, default_lexicon
 from nota.rules import (
     _CONTEXT_GATES,
+    _REACH,
     _RULES,
     _WORD_MEMO_CAP,
     _WORD_RULES,
@@ -488,6 +489,37 @@ def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
             assert rule(other, lexicon, fused) == expected, rid
 
 
+# --- what each rule reads ------------------------------------------------------
+
+
+def test_every_rule_declares_its_reach():
+    """The fix loop re-runs a rule on an unchanged word only where its reach
+    changed, so a rule without a declared reach would go stale there."""
+    assert set(_REACH) == RULE_IDS
+    for rid, reach in _REACH.items():
+        assert (reach is None) == (rid in _WORD_RULES), rid
+        assert reach in (None, "prev_word", "next_word"), rid
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=wide_text, synthetic=st.booleans(), fused=st.sampled_from(FUSED_MAPS[1:]))
+@example(seed=0, wide="باش نمشي ما كلموش باش ما كلموش نمشي", synthetic=False, fused={})
+def test_rules_read_only_their_reach(lex, seed, wide, synthetic, fused):
+    """Changing a window's neighbours outside a rule's reach leaves its findings as they are."""
+    lexicon = SYNTHETIC if synthetic else lex
+    rng = random.Random(seed)
+    text = _document(rng, lexicon, wide)
+    words = [t for t in tokenize(text) if t.kind is TokenKind.WORD]
+    neighbours = [None, *words, *(tokenize(w)[0] for w in DIRTY_WORDS)]
+    for window in windows(tokenize(text)):
+        for rid, reach in _REACH.items():
+            rule = _RULES[rid]
+            other = window._replace(
+                **{side: rng.choice(neighbours) for side in ("prev_word", "next_word") if side != reach}
+            )
+            assert rule(other, lexicon, fused) == rule(window, lexicon, fused), rid
+
+
 # --- the gates of the context rules -------------------------------------------
 
 ORACLE_CONTEXT_RULES = {"R-FUT": rules_oracle.rule_fut, "R-PRON": rules_oracle.rule_pron}
@@ -500,7 +532,7 @@ def test_gates_cover_the_context_rules():
 @pytest.mark.parametrize("rid", sorted(_CONTEXT_GATES))
 def test_context_rule_finds_nothing_where_its_gate_fails(lex, rid):
     """What lets run_rules skip the window of a word whose gate fails."""
-    gate, rule, oracle = _CONTEXT_GATES[rid], _RULES[rid], ORACLE_CONTEXT_RULES[rid]
+    (gate, _), rule, oracle = _CONTEXT_GATES[rid], _RULES[rid], ORACLE_CONTEXT_RULES[rid]
     fused = DEFAULT_FUSED_PREPOSITIONS
     rng = random.Random(rid)
     for lexicon in (lex, SYNTHETIC):
