@@ -19,9 +19,9 @@ rule sees the window it saw before, so finds what it found; and none of
 that is fixable, for the fix choice is maximal: each fixable finding of a
 pass overlaps a chosen fix, so lies in a word the pass rewrote.
 
-The loop never tokenizes the whole text again: ``_Chain`` finds the
-words and their neighbours from the first pass's tokens and, for each
-rewritten word token, the tokens of the text it became.
+The loop never tokenizes the whole text again.  It keeps the text as one
+token list, ``_Tokens``, and each pass puts the tokens of what each
+rewritten word became in place of that word's token.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum, auto
-from itertools import accumulate
 from operator import attrgetter
 
 from .config import Config, ConfigError, DEFAULT_CONFIG
@@ -75,6 +74,7 @@ class RunResult:
 
 _PRIORITY_INDEX = {rid: i for i, rid in enumerate(RULE_PRIORITY)}
 _START = attrgetter("start")
+_TEXT = attrgetter("text")
 _SPACE, _WORDS = TokenKind.SPACE, TokenKind.WORD
 
 
@@ -146,10 +146,9 @@ def normalize(
     if mode is not Mode.FIX:
         return RunResult(output=text, diagnostics=reported, fixes=(), passes_used=1)
 
-    current = canon.text
     fixes: list[FixEvent] = []
     passes = 0
-    chain = _Chain(tokens, lex, _RuleSet(lex, config.rules, config.fused_prepositions))
+    fixing = _Tokens(tokens, lex, _RuleSet(lex, config.rules, config.fused_prepositions))
     pending = [d for d in first_pass if _fixable(d)]
     while True:
         passes += 1
@@ -160,211 +159,151 @@ def normalize(
                 f"fixes still applicable after {config.max_passes} passes"
             )
         chosen = sorted(_select_nonoverlapping(pending), key=_START)
-        current, pending = chain.apply(current, chosen)
+        pending = fixing.apply(chosen)
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
         )
 
     return RunResult(
-        output=current,
+        output="".join(map(_TEXT, fixing.tokens)) if fixes else canon.text,
         diagnostics=reported,
         fixes=tuple(fixes),
         passes_used=passes,
     )
 
 
-class _Layout:
-    """The words of a region's text, each with its offset, and where
-    whitespace alone separates them: ``links`` for each word and the next,
-    ``head`` and ``tail`` for the first and the last word and the words
-    around the region.  In a region without words both tell whether it
-    passes those words through to each other."""
-
-    __slots__ = ("words", "links", "head", "tail")
-
-    def __init__(self, text: str) -> None:
-        self.words: list[tuple[int, str]] = []
-        self.links: list[bool] = []
-        blank = True  # no OTHER run since the last word
-        for kind, word, start, _ in tokenize(text):
-            if kind is _WORDS:
-                if self.words:
-                    self.links.append(blank)
-                else:
-                    self.head = blank
-                self.words.append((start, word))
-                blank = True
-            elif kind is TokenKind.OTHER:
-                blank = False
-        self.tail = blank
-        if not self.words:
-            self.head = blank
+def _join(tokens: list[Token], more: list[Token], glued: dict[int, list[str]]) -> int:
+    """Extend ``tokens`` by ``more``, joining the runs where they meet if of
+    one kind, as ``tokenize`` would; 1 if joined.  A joined token's texts
+    wait in ``glued``, by its index, so that a chain of joins stays linear."""
+    if more and tokens and tokens[-1].kind is more[0].kind:
+        glued.setdefault(len(tokens) - 1, [tokens[-1].text]).append(more[0].text)
+        tokens += more[1:]
+        return 1
+    tokens += more
+    return 0
 
 
-# A word of the text being fixed: the first-pass token whose region holds
-# it, and its index among the words of that region.
-_WordAt = tuple[int, int]
-
-
-class _Chain:
-    """The words of the text being fixed, found through the first pass's
-    tokens and the regions that the rewritten word tokens became.
-
-    Every fix lies inside one word, so what a word token becomes, its
-    region, never merges with another; two words are neighbours across the
-    spaces between their regions, or through regions that became blank.
-    A region starts where its token did, shifted by the growth of the
-    rewritten regions before it.
-    """
+class _Tokens:
+    """The text being fixed, as one list of tokens: kinds and texts as
+    ``tokenize`` gives them for the whole text, so no two runs of one kind
+    meet and a word's neighbour is at most one SPACE token away, and starts
+    stale after the first pass.  Nothing reads those: each pending finding
+    carries the index and the start of its word token instead."""
 
     def __init__(self, tokens: list[Token], lex: Lexicon, rules: _RuleSet) -> None:
-        self.tokens = tokens
-        self.lex = lex
-        self.rules = rules
-        self.texts: dict[int, str] = {}  # the text of each rewritten region, by token
-        self.order: list[int] = []  # the rewritten regions, in order
-        self.growth: list[int] = []  # how much those up to each one grew, in all
-        self.layouts: dict[str, _Layout] = {}
-        self.owners: dict[int, int] = {}  # the region of each pending finding, by its start
+        self.tokens, self.lex, self.rules = tokens, lex, rules
+        # By each text a word became: its tokens; whether they start and end
+        # with a word, so that no token around them joins them; and its words.
+        self.regions: dict[str, tuple[list[Token], bool, list[tuple[int, str, int]]]] = {}
+        self.at: dict[int, int] = {}  # the token index of each pending finding, by its start
+        self.starts: dict[int, int] = {}  # the start of each of those tokens, by index
 
-    def offset(self, index: int) -> int:
-        """The offset of region ``index`` in the current text."""
-        k = bisect_left(self.order, index)
-        return self.tokens[index].start + (self.growth[k - 1] if k else 0)
-
-    def layout(self, index: int) -> _Layout:
-        text = self.texts.get(index, self.tokens[index].text)
-        layout = self.layouts.get(text)
-        if layout is None:
-            layout = self.layouts[text] = _Layout(text)
-        return layout
-
-    def token(self, at: _WordAt | None) -> Token | None:
-        if at is None:
-            return None
-        offset, text = self.layout(at[0]).words[at[1]]
-        start = self.offset(at[0]) + offset
-        return Token(_WORDS, text, start, start + len(text))
-
-    def near(self, index: int, step: int) -> _WordAt | None:
-        """The word across spaces only before region ``index`` (``step`` -2)
-        or after it (``step`` 2), if there is one."""
-        tokens = self.tokens
-        while 0 <= index + step < len(tokens) and tokens[index + step // 2].kind is _SPACE:
-            index += step
-            if tokens[index].kind is not _WORDS:
-                return None
-            if index not in self.texts:
-                return index, 0
-            layout = self.layout(index)
-            if layout.words:
-                if not (layout.tail if step < 0 else layout.head):
-                    return None
-                return index, len(layout.words) - 1 if step < 0 else 0
-            if not layout.head:
-                return None
-        return None
-
-    def window(self, at: _WordAt) -> RuleWindow:
-        index, k = at
-        layout = self.layout(index)
-        if k:
-            prev = (index, k - 1) if layout.links[k - 1] else None
-        else:
-            prev = self.near(index, -2) if layout.head else None
-        if k < len(layout.links):
-            nxt = (index, k + 1) if layout.links[k] else None
-        else:
-            nxt = self.near(index, 2) if layout.tail else None
-        return RuleWindow(self.token(at), self.token(prev), self.token(nxt))
-
-    def apply(self, text: str, chosen: list[Diagnostic]) -> tuple[str, list[Diagnostic]]:
-        """Apply ``chosen``, sorted and each inside one word, to ``text``.
-
-        Returns the new text and its fixable findings, which lie in the
-        rewritten regions and in the words next to them.
-        """
-        tokens, texts = self.tokens, self.texts
-        if texts:  # a later pass: the re-lint noted the region of each finding
-            owners = self.owners
-            regions = [owners[d.start] for d in chosen]
-        else:
+    def apply(self, chosen: list[Diagnostic]) -> list[Diagnostic]:
+        """Apply ``chosen``, sorted and each inside one word, and return the
+        fixable findings of the new text: those of the rewritten words, and
+        those of the context rules on the words next to them whose reach
+        changed."""
+        tokens, at, starts, regions = self.tokens, self.at, self.starts, self.regions
+        lex, rules = self.lex, self.rules
+        if not at:  # the first pass, whose tokens' starts are current
             starts = list(map(_START, tokens))
-            regions = [bisect_right(starts, d.start) - 1 for d in chosen]
-        pieces = []
-        rewritten: list[int] = []
-        bounds: list[int] = []  # where each rewritten region starts and ends in the new text
-        pos = shift = 0
-        for index, d in zip(regions, chosen):
-            if not rewritten or rewritten[-1] != index:
-                at = self.offset(index)
-                rewritten.append(index)
-                bounds += (at + shift, at + len(texts.get(index, tokens[index].text)) + shift)
-            pieces.append(text[pos : d.start])
-            pieces.append(d.replacement)
-            pos = d.end
-            delta = len(d.replacement) - (d.end - d.start)
-            shift += delta
-            bounds[-1] += delta
-        pieces.append(text[pos:])
-        text = "".join(pieces)
-        for k, index in enumerate(rewritten):
-            texts[index] = text[bounds[2 * k] : bounds[2 * k + 1]]
-        self.order = order = sorted(texts)
-        self.growth = list(accumulate(len(texts[i]) - len(tokens[i].text) for i in order))
-        return text, self._relint(rewritten, bounds[::2])
-
-    def _relint(self, rewritten: list[int], starts: list[int]) -> list[Diagnostic]:
-        """The fixable findings in the ``rewritten`` regions, which start at
-        ``starts``, and those of the context rules whose reach is one of
-        those regions on the words next to it."""
-        lex, rules, tokens, texts = self.lex, self.rules, self.tokens, self.texts
-        memo = rules.memo
-        self.owners = owners = {}
+            for d in chosen:
+                at[d.start] = bisect_right(starts, d.start) - 1
+        self.at = next_at = {}
+        self.starts = next_starts = {}
         found: list[Diagnostic] = []
-        done = set(rewritten)
-        for index, start in zip(rewritten, starts):
-            for k, (offset, text) in enumerate(self.layout(index).words):
-                word_found, gated = memo.get(text) or _remember(text, lex, rules)
-                at = start + offset
-                for d in word_found:
-                    if _fixable(d):
+        out: list[Token] = []
+        # The words to run context rules on once ``out`` is whole: each one's
+        # index, its start, and the reach of the rules to run, None for all;
+        # flat, so that the collector tracks fewer objects.
+        jobs: list = []
+        glued: dict[int, list[str]] = {}
+        copied = shift = i = 0
+        ragged = False  # the last region did not end with a word
+        while i < len(chosen):
+            d = chosen[i]
+            index = at[d.start]
+            start = starts[index]
+            word = tokens[index].text
+            new, cut = word[: d.start - start] + d.replacement, d.end - start
+            i += 1
+            while i < len(chosen) and (d := chosen[i]).start < start + len(word):
+                new += word[cut : d.start - start] + d.replacement
+                cut = d.end - start
+                i += 1
+            new += word[cut:]
+            start += shift
+            entry = regions.get(new)
+            if entry is None:
+                region = tokenize(new)
+                plain = bool(region) and region[0].kind is region[-1].kind is _WORDS
+                words = [(w, t.text, t.start) for w, t in enumerate(region) if t.kind is _WORDS]
+                entry = regions[new] = region, plain, words
+            region, plain, words = entry
+            if ragged:
+                _join(out, tokens[copied:index], glued)
+            else:
+                out += tokens[copied:index]
+            # The unchanged word across spaces before, unless it was rewritten too.
+            if index > 1 and tokens[index - 1].kind is _SPACE and tokens[index - 2].kind is _WORDS:
+                if copied != index - 1:
+                    gap = len(tokens[index - 1].text) + len(tokens[index - 2].text)
+                    jobs += len(out) - 2, start - gap, "next_word"
+            base = len(out)
+            if plain:
+                out += region
+            else:
+                base -= _join(out, region, glued)
+            ragged = not plain
+            for w, text, offset in words:
+                word_found, gated = rules.memo.get(text) or _remember(text, lex, rules)
+                s = start + offset
+                for f in word_found:
+                    if _fixable(f):
                         found.append(
-                            Diagnostic(d.rule, d.start + at, d.end + at, d.severity, d.message, d.replacement)
+                            Diagnostic(f.rule, f.start + s, f.end + s, f.severity, f.message, f.replacement)
                         )
-                        owners[d.start + at] = index
+                        next_at[f.start + s] = base + w
+                        next_starts[base + w] = s
                 if gated:
-                    self._run((index, k), gated, found)
-            for step, side in ((-2, "next_word"), (2, "prev_word")):
-                j = index + step
-                if not (
-                    0 <= j < len(tokens)
-                    and tokens[index + step // 2].kind is _SPACE
-                    and tokens[j].kind is _WORDS
-                ):
-                    continue  # no word across spaces on this side
-                if j in done:
-                    continue  # re-linted whole above; if it became blank, it reaches past itself
-                if j not in texts:
-                    near, text = (j, 0), tokens[j].text
-                else:
-                    near = self.near(index, step)
-                    if near is None or near[0] in done:
-                        continue
-                    text = self.layout(near[0]).words[near[1]][1]
-                gated = (memo.get(text) or _remember(text, lex, rules))[1]
-                if gated:
-                    todo = [rule for rule, _, reach in rules.context_rules if reach == side and rule in gated]
-                    if todo:
-                        self._run(near, todo, found)
+                    jobs += base + w, s, None
+            # And the one after: the space joins the last token here if that is one.
+            if index + 2 < len(tokens) and tokens[index + 1].kind is _SPACE and tokens[index + 2].kind is _WORDS:
+                if i == len(chosen) or at[chosen[i].start] != index + 2:
+                    after = len(out) + (not out or out[-1].kind is not _SPACE)
+                    jobs += after, start + len(new) + len(tokens[index + 1].text), "prev_word"
+            copied = index + 1
+            shift += len(new) - len(word)
+        _join(out, tokens[copied:], glued)
+        for i, texts in glued.items():
+            out[i] = Token(out[i].kind, "".join(texts), 0, 0)
+        self.tokens = out
+        for i, start, side in zip(*[iter(jobs)] * 3):
+            gated = (rules.memo.get(out[i].text) or _remember(out[i].text, lex, rules))[1]
+            if side and gated:  # on an unchanged word, only those whose reach changed
+                gated = [rule for rule, _, reach in rules.context_rules if reach == side and rule in gated]
+            if gated:
+                self._run(i, start, gated, found)
         return found
 
-    def _run(self, at: _WordAt, todo: tuple | list, found: list[Diagnostic]) -> None:
-        """Run the rules ``todo`` on the window of the word ``at``, keeping
-        their fixable findings in ``found``."""
-        window = self.window(at)
+    def _run(self, i: int, start: int, todo: tuple | list, found: list[Diagnostic]) -> None:
+        """Run the rules ``todo`` on the window of the word ``i``, which
+        starts at ``start``, keeping their fixable findings in ``found``."""
+        tokens = self.tokens
+        text = tokens[i].text
+        end = start + len(text)
+        prev = nxt = None
+        if i > 1 and tokens[i - 1].kind is _SPACE and tokens[i - 2].kind is _WORDS:
+            edge = start - len(tokens[i - 1].text)
+            prev = Token(_WORDS, tokens[i - 2].text, edge - len(tokens[i - 2].text), edge)
+        if i + 2 < len(tokens) and tokens[i + 1].kind is _SPACE and tokens[i + 2].kind is _WORDS:
+            edge = end + len(tokens[i + 1].text)
+            nxt = Token(_WORDS, tokens[i + 2].text, edge, edge + len(tokens[i + 2].text))
+        window = RuleWindow(Token(_WORDS, text, start, end), prev, nxt)
         for rule in todo:
             for d in rule(window, self.lex, self.rules.fused):
                 if _fixable(d):
                     found.append(d)
-                    self.owners[d.start] = at[0]
+                    self.at[d.start] = i
+                    self.starts[i] = start

@@ -77,6 +77,7 @@ HOSTILE_DOCS = {
     "latin only": (string.ascii_letters * HOSTILE_SIZE)[:HOSTILE_SIZE],
     "no whitespace, a fused preposition repeated": ("فالدار" * HOSTILE_SIZE)[:HOSTILE_SIZE],
     "no whitespace, a fix in every cluster": ("بٌ" * HOSTILE_SIZE)[:HOSTILE_SIZE],
+    "lone marks between spaces": ("ً " * HOSTILE_SIZE)[:HOSTILE_SIZE],
 }
 
 

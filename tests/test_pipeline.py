@@ -25,7 +25,7 @@ from nota.config import DEFAULT_CONFIG
 from nota.lexicon import Lexicon, load_lexicon
 from nota.pipeline import PassCapExceededError, _select_nonoverlapping
 from nota.rules import DEFAULT_FUSED_PREPOSITIONS, RULE_PRIORITY, Diagnostic, Severity
-from nota.script import skeleton
+from nota.script import canonicalize, skeleton
 from nota.tokenize import TokenKind, tokenize
 
 soup = st.text(
@@ -432,6 +432,74 @@ def test_fix_loop_matches_oracle_with_a_fixable_previous_word_rule(words, gaps, 
         assert _run(text, _split_lexicon(), config) == _run(
             text, _split_lexicon(), config, pipeline_oracle.normalize
         )
+
+
+@pytest.mark.parametrize("text, fused, rules", [
+    ("ما ً كلموش ما", DEFAULT_FUSED_PREPOSITIONS, ["R-VOW", "R-PRON"]),  # a deleted word's spaces joined
+    ("ما  ً   كلموش ما", DEFAULT_FUSED_PREPOSITIONS, ["R-VOW", "R-PRON"]),
+    ("ما ً ً كلموش ما", DEFAULT_FUSED_PREPOSITIONS, ["R-VOW", "R-VOW", "R-PRON"]),
+    ("ما وكلموش ما", {"و": " "}, ["R-SEP", "R-PRON"]),  # a split that starts with a space
+    ("ما. وكلموش", {"و": "."}, ["R-SEP"]),  # and one that starts with a full stop
+])
+def test_fix_loop_relints_across_joined_runs(text, fused, rules):
+    config = Config(fused_prepositions=fused)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(nota.rules._RULES, "R-PRON", _warning_pron)
+        result = _run(text, _split_lexicon(), config)
+        assert result == _run(text, _split_lexicon(), config, pipeline_oracle.normalize)
+    assert [f.rule for f in result.fixes] == rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(PRON_WORDS), min_size=1, max_size=12),
+    gaps=st.lists(st.sampled_from([" ", "  ", "\n", ".", " . ", ""]), min_size=12, max_size=12),
+    fused=st.sampled_from([*PRON_FUSED, {"و": " "}]),
+    wide=wide_text,
+    place=st.integers(0, 12),
+)
+@example(words=["ما", "ً", "كلموش"], gaps=["  ", "\n"] + [" "] * 10, fused={}, wide="", place=3)
+def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, place):
+    """Every window a context rule gets is the one ``windows(tokenize(t))``
+    gives its word, ``t`` being the text that pass works on, rebuilt from
+    the pass-local fix spans.  A wrong neighbour or a stale start shows
+    here even where no output does, as in an Info finding."""
+    pieces = [w + g for w, g in zip(words, gaps)]
+    pieces.insert(min(place, len(pieces)), wide)
+    text = "".join(pieces)
+    seen: list = []  # the windows the context rules got; None where a pass chose its fixes
+    select = nota.pipeline._select_nonoverlapping
+
+    def recording(rule):
+        def run(window, lex, fused):
+            seen.append(window)
+            return rule(window, lex, fused)
+        return run
+
+    def marked(diags):
+        seen.append(None)
+        return select(diags)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(nota.rules._RULES, "R-PRON", recording(_warning_pron))
+        mp.setitem(nota.rules._RULES, "R-FUT", recording(nota.rules.rule_fut))
+        mp.setattr(nota.pipeline, "_select_nonoverlapping", marked)
+        result = normalize(text, _split_lexicon(), Config(fused_prepositions=fused), Mode.FIX)
+    texts = [canonicalize(text).text]
+    for index in range(1, result.passes_used):
+        current = texts[-1]
+        for f in result.fixes:  # each pass's fixes come last one first
+            if f.pass_index == index:
+                current = current[: f.start] + f.replacement + current[f.end :]
+        texts.append(current)
+    assert result.output == texts[-1]
+    index = 0
+    for window in seen:
+        if window is None:
+            index += 1
+        else:
+            expected = {w.word.start: w for w in nota.rules.windows(tokenize(texts[index]))}
+            assert window == expected.get(window.word.start), index
 
 
 # --- hostile sizes -------------------------------------------------------------
