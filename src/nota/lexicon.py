@@ -6,7 +6,7 @@ Five TSV resources (UTF-8, no header, '#' comments), one per role:
                    present-2sg (optional), irregular-imperative (optional)
   prepositions.tsv one preposition per line
   known_words.tsv  one undiacritized word per line
-  variant_map.tsv  variant letter, canonical letter (must be پ/ڤ/ڨ)
+  variant_map.tsv  variant letter (not پ/ڤ/ڨ), canonical letter (پ/ڤ/ڨ)
   gaf_words.tsv    word spelled with ق, respelling with ڨ
 
 Loading validates everything up front; a loaded Lexicon is immutable and
@@ -222,9 +222,12 @@ def _parse_word_list(lines: Iterable[str], source: str) -> frozenset[str]:
 
 
 def _check_variant(variant: str, canonical: str, where: str) -> None:
-    """One variant_map row, from a TSV file or the config: one letter onto پ/ڤ/ڨ."""
-    if len(variant) != 1:
-        raise InvalidScriptError(f"{where}: variant must be one letter, got {variant!r}")
+    """One variant_map row, from a TSV file or the config: one letter other
+    than پ/ڤ/ڨ onto one of them, so that a rewrite never makes a variant."""
+    if len(variant) != 1 or variant in (PEH, VEH, GAF):
+        raise InvalidScriptError(
+            f"{where}: variant must be one letter other than پ ڤ ڨ, got {variant!r}"
+        )
     if canonical not in (PEH, VEH, GAF):
         raise InvalidScriptError(
             f"{where}: canonical letter must be one of پ ڤ ڨ, got {canonical!r}"

@@ -282,7 +282,7 @@ class _Tokens:
         for i, start, side in zip(*[iter(jobs)] * 3):
             gated = (rules.memo.get(out[i].text) or _remember(out[i].text, lex, rules))[1]
             if side and gated:  # on an unchanged word, only those whose reach changed
-                gated = [rule for rule, _, reach in rules.context_rules if reach == side and rule in gated]
+                gated = [rule for rule in gated if rule.reach == side]
             if gated:
                 self._run(i, start, gated, found)
         return found
@@ -302,7 +302,7 @@ class _Tokens:
             nxt = Token(_WORDS, tokens[i + 2].text, edge, edge + len(tokens[i + 2].text))
         window = RuleWindow(Token(_WORDS, text, start, end), prev, nxt)
         for rule in todo:
-            for d in rule(window, self.lex, self.rules.fused):
+            for d in rule.body(window, self.lex, self.rules.fused):
                 if _fixable(d):
                     found.append(d)
                     self.at[d.start] = i

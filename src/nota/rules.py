@@ -12,9 +12,15 @@ them once per distinct word text and keeps their findings in a bounded
 memo on the Lexicon. R-FUT reads the next word and R-PRON the previous
 one, but each can fire only on a word whose skeleton passes its gate;
 the memo also keeps which gates a word passes, and the two run only on
-the windows of those words.  What each rule reads is its declared reach,
-``_REACH``; the fix loop re-runs a rule on an unchanged word only where
-its reach changed.
+the windows of those words.  What each rule reads is its declared reach;
+the fix loop re-runs a rule on an unchanged word only where its reach
+changed.
+
+``_RULES`` is the one table of the rules: by id, in priority order, each
+rule's body, reach and gate.  Declaring a rule takes its body, named
+``rule_`` and its id's suffix in lower case, one ``_RULES`` entry and one
+row of README's rule table; ``RULE_PRIORITY``, ``RULE_IDS`` and the rule
+sets that ``run_rules`` and the fix loop use are derived from the table.
 
 The word rules share one gate, ``_word_gate``, on a word's text and
 skeleton: a non-NOTA mark or Kasra before Alef, a marked article, a
@@ -52,10 +58,6 @@ from .script import (
     skeleton,
 )
 from .tokenize import Token, TokenKind
-
-# Priority order: character-level fixes, then word-level, then splits.
-RULE_PRIORITY = ("R-VOW", "R-CONS", "R-ART", "R-AMQ", "R-IMP", "R-FUT", "R-PRON", "R-SEP")
-RULE_IDS = frozenset(RULE_PRIORITY)
 
 # Fused preposition+article spellings expanded to two tokens.  The
 # single-letter proclitics ب and ل stay attached.
@@ -232,10 +234,6 @@ def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     ]
 
 
-# The gates of the context rules, on the skeleton of the window's word:
-# where a gate is false its rule finds nothing, whatever the neighbours.
-
-
 def _fut_gate(bare: str) -> bool:
     return bare == "باش"
 
@@ -342,34 +340,30 @@ def _split(word: Token, n_letters: int, message: str, head: str | None = None) -
     return [Diagnostic("R-SEP", word.start, word.end, Severity.WARNING, message, replacement)]
 
 
-_RULES: Mapping[str, Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Diagnostic]]] = {
-    "R-VOW": rule_vow,
-    "R-CONS": rule_cons,
-    "R-ART": rule_art,
-    "R-AMQ": rule_amq,
-    "R-IMP": rule_imp,
-    "R-FUT": rule_fut,
-    "R-PRON": rule_pron,
-    "R-SEP": rule_sep,
+class _Rule(NamedTuple):
+    """A rule: its body; its reach, the field of its window besides ``word``
+    that it reads, None for a word rule; and a context rule's gate, on the
+    skeleton of the window's word: where it is false the rule finds
+    nothing, whatever the neighbours."""
+
+    body: Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Diagnostic]]
+    reach: str | None = None
+    gate: Callable[[str], bool] | None = None
+
+
+# Priority order: character-level fixes, then word-level, then splits.
+_RULES: Mapping[str, _Rule] = {
+    "R-VOW": _Rule(rule_vow),
+    "R-CONS": _Rule(rule_cons),
+    "R-ART": _Rule(rule_art),
+    "R-AMQ": _Rule(rule_amq),
+    "R-IMP": _Rule(rule_imp),
+    "R-FUT": _Rule(rule_fut, "next_word", _fut_gate),
+    "R-PRON": _Rule(rule_pron, "prev_word", _pron_gate),
+    "R-SEP": _Rule(rule_sep),
 }
-
-
-# The rules that read only ``window.word``.
-_WORD_RULES = frozenset({"R-VOW", "R-CONS", "R-ART", "R-AMQ", "R-IMP", "R-SEP"})
-
-# The other rules, each with its gate and the one neighbour it reads.
-_CONTEXT_GATES: Mapping[str, tuple[Callable[[str], bool], str]] = {
-    "R-FUT": (_fut_gate, "next_word"),
-    "R-PRON": (_pron_gate, "prev_word"),
-}
-
-# Each rule's reach: the field of its window besides ``word`` that it
-# reads, None for a word rule.  tests/test_rules.py checks that every
-# rule has one and that nothing outside it changes a rule's findings.
-_REACH: Mapping[str, str | None] = {
-    **dict.fromkeys(_WORD_RULES),
-    **{rid: reach for rid, (_, reach) in _CONTEXT_GATES.items()},
-}
+RULE_PRIORITY = tuple(_RULES)
+RULE_IDS = frozenset(_RULES)
 
 
 def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
@@ -436,14 +430,9 @@ class _RuleSet:
         fused_prepositions: Mapping[str, str] | None,
     ) -> None:
         fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
-        active = [
-            rid for rid in RULE_PRIORITY if enabled is None or enabled.get(rid, True)
-        ]
-        self.word_rules = [_RULES[rid] for rid in active if _REACH[rid] is None]
-        # Each enabled context rule, with its gate and its reach.
-        self.context_rules = [
-            (_RULES[rid], _CONTEXT_GATES[rid][0], _REACH[rid]) for rid in active if _REACH[rid]
-        ]
+        active = {rid: rule for rid, rule in _RULES.items() if enabled is None or enabled.get(rid, True)}
+        self.word_rules = [rule.body for rule in active.values() if rule.reach is None]
+        self.context_rules = [rule for rule in active.values() if rule.reach]
         self.fused = fused
         config_key = (tuple(active), frozenset(fused.items()))
         memo = lex._rule_memo.get(config_key)
@@ -463,8 +452,8 @@ def _remember(text: str, lex: Lexicon, rules: _RuleSet) -> tuple[tuple[Diagnosti
         at_zero = RuleWindow(Token(TokenKind.WORD, text, 0, len(text)))
         found = tuple(d for rule in rules.word_rules for d in rule(at_zero, lex, rules.fused))
     gated: tuple = ()
-    for rule, gate, _ in rules.context_rules:
-        if gate(bare):
+    for rule in rules.context_rules:
+        if rule.gate(bare):
             gated += (rule,)
     memo = rules.memo
     if len(memo) >= _WORD_MEMO_CAP:
@@ -506,7 +495,7 @@ def run_rules(
         if gated:
             window = RuleWindow(word, prev, nxt)
             for rule in gated:
-                out.extend(rule(window, lex, fused))
+                out.extend(rule.body(window, lex, fused))
     # Each rule's findings lie inside its window's word, so this order does
     # not depend on the order the rules ran in.
     out.sort(key=lambda d: (d.start, d.rule))

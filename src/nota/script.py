@@ -46,11 +46,10 @@ class Vowel(Enum):
     U = DAMMA
     I = KASRA
 
-    # Read only by the acceptance suite; VOWEL_OF_MARK only by the grapheme oracle.
+    # Read only by the acceptance suite.
     mark = property(attrgetter("value"))
 
 
-VOWEL_OF_MARK = {v.value: v for v in Vowel}
 VOWEL_MARKS = frozenset(v.value for v in Vowel)
 NOTA_MARKS = VOWEL_MARKS | {SHADDA, SUKUN}
 

@@ -15,7 +15,9 @@ from nota.graphemes import (
     UnsupportedCharacterError,
     VowelWithSukunError,
 )
-from nota.script import VOWEL_OF_MARK, CharClass, Vowel, classify
+from nota.script import CharClass, Vowel, classify
+
+VOWEL_OF_MARK = {v.value: v for v in Vowel}
 
 
 def parse_graphemes(word: str) -> tuple[Grapheme, ...]:

@@ -83,7 +83,7 @@ def run_rules(
     out: list[Diagnostic] = []
     for window in windows(tokens):
         for rid in active:
-            out.extend(_RULES[rid](window, lex, fused))
+            out.extend(_RULES[rid].body(window, lex, fused))
     out.sort(key=lambda d: (d.start, d.rule))
     return out
 

@@ -1,4 +1,4 @@
-"""The top-level API is what the README documents, and nothing more."""
+"""The top-level API and the rule ids are what the README documents, and nothing more."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import nota
+from nota.rules import RULE_PRIORITY
 
 PUBLIC = {
     "Config",
@@ -36,3 +37,8 @@ def test_all_is_pinned():
 def test_every_public_name_is_documented():
     missing = [name for name in sorted(PUBLIC) if not re.search(rf"\b{name}\b", README)]
     assert missing == []
+
+
+def test_readme_rule_table_lists_every_rule_in_priority_order():
+    section = README.split("## The rules", 1)[1].split("\n## ", 1)[0]
+    assert tuple(re.findall(r"^\| (R-[A-Z]+) ", section, re.M)) == RULE_PRIORITY

@@ -266,6 +266,14 @@ FAILURES = {
         "--config", _file(tmp / "cfg.json", '{"tables": {"variant_map": {"ا": "ب"}}}'.encode()),
         _file(tmp / "in.txt", "باش الدار".encode()),
     ]),
+    "config variant_map from a پ/ڤ/ڨ letter": (None, lambda tmp: [
+        "normalize",
+        "--config", _file(tmp / "cfg.json", '{"tables": {"variant_map": {"ڨ": "ڨ"}}}'.encode()),
+        _file(tmp / "in.txt", "ڨاوري".encode()),
+    ]),
+    "lexicon validate a پ/ڤ/ڨ variant letter": (None, lambda tmp: [
+        "lexicon", "validate", _file(tmp / "variant_map.tsv", "ڤ\tڨ\nڨ\tڤ\n".encode()),
+    ]),
     **{
         f"config {doc}": (None, lambda tmp, doc=doc: [
             "normalize", "--config", _file(tmp / "cfg.json", doc.encode()),

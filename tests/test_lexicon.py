@@ -104,6 +104,18 @@ def test_variant_map_target_constrained():
         load_lexicon({"variant_map": ["گ\tق"]})  # ق is not supplemental
 
 
+@pytest.mark.parametrize("rows", [["ڨ\tڨ"], ["ڤ\tڨ", "ڨ\tڤ"], ["پ\tڤ"]])
+def test_variant_map_source_not_canonical(rows):
+    # A variant that is itself پ/ڤ/ڨ would rewrite forever, or onto itself.
+    with pytest.raises(InvalidScriptError):
+        load_lexicon({"variant_map": rows})
+
+
+def test_config_variant_map_source_not_canonical():
+    with pytest.raises(InvalidScriptError):
+        default_lexicon(variant_map={"ڨ": "ڨ"})
+
+
 def test_gaf_respelling_constrained():
     with pytest.raises(InvalidScriptError):
         load_lexicon({"gaf_words": ["بقرة\tبقره"]})

@@ -388,6 +388,11 @@ def _warning_pron(window, lex, fused):
     return [replace(d, severity=Severity.WARNING) for d in nota.rules.rule_pron(window, lex, fused)]
 
 
+def _patch_body(mp, rid, body):
+    """Give the rule ``rid`` the body ``body`` in the rule table."""
+    mp.setitem(nota.rules._RULES, rid, nota.rules._RULES[rid]._replace(body=body))
+
+
 def _split_lexicon() -> Lexicon:
     """A fresh lexicon, so that no memo holds the Info rule, with كلموش
     and نمشي known, so that R-SEP splits a prefix off them."""
@@ -411,7 +416,7 @@ PRON_FUSED = [DEFAULT_FUSED_PREPOSITIONS, {"ما": "ما "}, {"ما": "ما."}, 
 def test_fix_loop_relints_the_words_next_to_a_fix(text, fused, rules):
     config = Config(fused_prepositions=fused)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(nota.rules._RULES, "R-PRON", _warning_pron)
+        _patch_body(mp, "R-PRON", _warning_pron)
         result = _run(text, _split_lexicon(), config)
         assert result == _run(text, _split_lexicon(), config, pipeline_oracle.normalize)
     assert [f.rule for f in result.fixes] == rules
@@ -428,7 +433,7 @@ def test_fix_loop_matches_oracle_with_a_fixable_previous_word_rule(words, gaps, 
     text = "".join(w + g for w, g in zip(words, gaps))
     config = Config(max_passes=max_passes, fused_prepositions=fused)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(nota.rules._RULES, "R-PRON", _warning_pron)
+        _patch_body(mp, "R-PRON", _warning_pron)
         assert _run(text, _split_lexicon(), config) == _run(
             text, _split_lexicon(), config, pipeline_oracle.normalize
         )
@@ -444,7 +449,7 @@ def test_fix_loop_matches_oracle_with_a_fixable_previous_word_rule(words, gaps, 
 def test_fix_loop_relints_across_joined_runs(text, fused, rules):
     config = Config(fused_prepositions=fused)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(nota.rules._RULES, "R-PRON", _warning_pron)
+        _patch_body(mp, "R-PRON", _warning_pron)
         result = _run(text, _split_lexicon(), config)
         assert result == _run(text, _split_lexicon(), config, pipeline_oracle.normalize)
     assert [f.rule for f in result.fixes] == rules
@@ -481,8 +486,8 @@ def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, pl
         return select(diags)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(nota.rules._RULES, "R-PRON", recording(_warning_pron))
-        mp.setitem(nota.rules._RULES, "R-FUT", recording(nota.rules.rule_fut))
+        _patch_body(mp, "R-PRON", recording(_warning_pron))
+        _patch_body(mp, "R-FUT", recording(nota.rules.rule_fut))
         mp.setattr(nota.pipeline, "_select_nonoverlapping", marked)
         result = normalize(text, _split_lexicon(), Config(fused_prepositions=fused), Mode.FIX)
     texts = [canonicalize(text).text]

@@ -3,9 +3,11 @@
 ``bench/tracer.py`` rebinds ``canonicalize``, ``tokenize``, ``run_rules``
 and ``file_stats`` on the modules that call them, and replays
 ``windows(tokens)`` and every ``rule_<id>(window, lex, fused)`` with the
-arguments it reads off each ``run_rules`` call.  A refactor that renames,
-reshapes or stops calling any of them breaks ``bench/run.py --trace 1``;
-these tests make it fail the unit suite as well.
+arguments it reads off each ``run_rules`` call, finding each rule by name
+and in ``RULE_PRIORITY`` order.  A refactor that renames, reshapes or stops
+calling any of them, or gives a rule in ``_RULES`` a body of another name,
+breaks ``bench/run.py --trace 1``; these tests make it fail the unit suite
+as well.
 """
 
 from __future__ import annotations
@@ -70,9 +72,14 @@ def test_run_rules_parameter_names():
     assert _params(nota.rules.run_rules) == ["tokens", "lex", "enabled", "fused_prepositions"]
 
 
+def test_rule_priority_is_the_rule_table_order():
+    assert RULE_PRIORITY == tuple(nota.rules._RULES)
+
+
 @pytest.mark.parametrize("rid", RULE_PRIORITY)
 def test_each_rule_has_a_rule_function(lex, rid):
     rule = getattr(nota.rules, "rule_" + rid[2:].lower())
+    assert nota.rules._RULES[rid].body is rule
     assert _params(rule) == ["window", "lex", "fused"]
     found = rule(windows(tokenize("ما كلموش"))[-1], lex, nota.rules.DEFAULT_FUSED_PREPOSITIONS)
     assert isinstance(found, list)
