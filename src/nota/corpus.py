@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .config import Config, DEFAULT_CONFIG
 from .lexicon import Lexicon
-from .pipeline import _lint
+from .pipeline import _lint, validate_setup
 from .tokenize import TokenKind
 
 # Unused here, but bench/tracer.py rebinds these names on this module.
@@ -140,6 +140,7 @@ def _walk(root: Path) -> Iterator[tuple[str, int, str]]:
 
 
 def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> CorpusReport:
+    validate_setup(lex, config)
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")

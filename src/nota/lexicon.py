@@ -21,13 +21,14 @@ one mutable part is a bounded per-word cache of rule results that
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .script import ALEF, ALEF_MAQSURA, GAF, PEH, QAF, TEH, VEH, WORD_CHARS, YEH, skeleton
+from .script import ALEF, ALEF_MAQSURA, GAF, PEH, QAF, TEH, VEH, WORD_CHARS, YEH, canonicalize, skeleton
 
 ROLES = ("verbs", "prepositions", "known_words", "variant_map", "gaf_words")
 
@@ -222,11 +223,16 @@ def _parse_word_list(lines: Iterable[str], source: str) -> frozenset[str]:
 
 
 def _check_variant(variant: str, canonical: str, where: str) -> None:
-    """One variant_map row, from a TSV file or the config: one letter other
-    than پ/ڤ/ڨ onto one of them, so that a rewrite never makes a variant."""
-    if len(variant) != 1 or variant in (PEH, VEH, GAF):
+    """One variant_map row, from a TSV file or the config: one Arabic letter
+    other than پ/ڤ/ڨ onto one of them, so that a rewrite never makes a variant."""
+    if (
+        variant not in WORD_CHARS  # a space, a digit, another script, not one character
+        or unicodedata.category(variant) != "Lo"  # a mark, tatweel
+        or canonicalize(variant).text != variant  # a presentation form
+        or variant in (PEH, VEH, GAF)
+    ):
         raise InvalidScriptError(
-            f"{where}: variant must be one letter other than پ ڤ ڨ, got {variant!r}"
+            f"{where}: variant must be one Arabic letter other than پ ڤ ڨ, got {variant!r}"
         )
     if canonical not in (PEH, VEH, GAF):
         raise InvalidScriptError(

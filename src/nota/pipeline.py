@@ -19,16 +19,18 @@ rule sees the window it saw before, so finds what it found; and none of
 that is fixable, for the fix choice is maximal: each fixable finding of a
 pass overlaps a chosen fix, so lies in a word the pass rewrote.
 
-The loop never tokenizes the whole text again.  It keeps the text as one
-token list, ``_Tokens``, and each pass puts the tokens of what each
-rewritten word became in place of that word's token.
+The loop keeps the text as ``split_words`` gives it, ``[gap, word, gap,
+…, word, gap]``.  A pass bisects the part ends to find each fix's word,
+and puts the split of what the word became in its place, the split's
+edge gaps joining the gaps beside it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
+from itertools import accumulate
 from operator import attrgetter
 
 from .config import Config, ConfigError, DEFAULT_CONFIG
@@ -43,7 +45,7 @@ from .rules import (
     run_rules,
 )
 from .script import Canonical, canonicalize
-from .tokenize import Token, TokenKind, tokenize
+from .tokenize import Token, TokenKind, split_words, tokenize
 
 
 class Mode(Enum):
@@ -74,8 +76,6 @@ class RunResult:
 
 _PRIORITY_INDEX = {rid: i for i, rid in enumerate(RULE_PRIORITY)}
 _START = attrgetter("start")
-_TEXT = attrgetter("text")
-_SPACE, _WORDS = TokenKind.SPACE, TokenKind.WORD
 
 
 def validate_setup(lex: Lexicon, config: Config) -> None:
@@ -104,7 +104,7 @@ def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
         i = bisect_left(spans, (d.end,))
         if i == 0 or spans[i - 1][1] <= d.start:
             chosen.append(d)
-            insort(spans, (d.start, d.end))
+            spans.insert(i, (d.start, d.end))
     return chosen
 
 
@@ -121,11 +121,10 @@ def _lint_canonical(
 def _lint(
     text: str, lex: Lexicon, config: Config
 ) -> tuple[Canonical, list[Token], list[Diagnostic]]:
-    """The lint core: validate the setup, canonicalize, tokenize, run the rules.
+    """The lint core: canonicalize, tokenize, run the rules.
 
     Token and diagnostic spans point into ``canon.text``.
     """
-    validate_setup(lex, config)
     canon = canonicalize(text)
     return (canon, *_lint_canonical(canon.text, lex, config))
 
@@ -137,7 +136,9 @@ def normalize(
     mode: Mode = Mode.CHECK,
 ) -> RunResult:
     """Run the full pipeline over one document."""
-    canon, tokens, first_pass = _lint(text, lex, config)
+    validate_setup(lex, config)
+    # Not the token list: the fix loop reads the text as split_words gives it.
+    canon, first_pass = _lint(text, lex, config)[::2]
     reported = tuple(
         Diagnostic(d.rule, *canon.to_original(d.start, d.end), d.severity, d.message, d.replacement)
         for d in first_pass
@@ -148,8 +149,11 @@ def normalize(
 
     fixes: list[FixEvent] = []
     passes = 0
-    fixing = _Tokens(tokens, lex, _RuleSet(lex, config.rules, config.fused_prepositions))
+    rules = _RuleSet(lex, config.rules, config.fused_prepositions)
+    splits: dict[str, tuple[str, ...]] = {}  # the split of each text a word became
     pending = [d for d in first_pass if _fixable(d)]
+    parts = split_words(canon.text) if pending else []
+    ends = list(accumulate(map(len, parts)))
     while True:
         passes += 1
         if not pending:
@@ -159,151 +163,93 @@ def normalize(
                 f"fixes still applicable after {config.max_passes} passes"
             )
         chosen = sorted(_select_nonoverlapping(pending), key=_START)
-        pending = fixing.apply(chosen)
+        parts, ends, pending = _rewrite(parts, ends, chosen, lex, rules, splits)
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
         )
 
     return RunResult(
-        output="".join(map(_TEXT, fixing.tokens)) if fixes else canon.text,
+        output="".join(parts) if fixes else canon.text,
         diagnostics=reported,
         fixes=tuple(fixes),
         passes_used=passes,
     )
 
 
-def _join(tokens: list[Token], more: list[Token], glued: dict[int, list[str]]) -> int:
-    """Extend ``tokens`` by ``more``, joining the runs where they meet if of
-    one kind, as ``tokenize`` would; 1 if joined.  A joined token's texts
-    wait in ``glued``, by its index, so that a chain of joins stays linear."""
-    if more and tokens and tokens[-1].kind is more[0].kind:
-        glued.setdefault(len(tokens) - 1, [tokens[-1].text]).append(more[0].text)
-        tokens += more[1:]
-        return 1
-    tokens += more
-    return 0
-
-
-class _Tokens:
-    """The text being fixed, as one list of tokens: kinds and texts as
-    ``tokenize`` gives them for the whole text, so no two runs of one kind
-    meet and a word's neighbour is at most one SPACE token away, and starts
-    stale after the first pass.  Nothing reads those: each pending finding
-    carries the index and the start of its word token instead."""
-
-    def __init__(self, tokens: list[Token], lex: Lexicon, rules: _RuleSet) -> None:
-        self.tokens, self.lex, self.rules = tokens, lex, rules
-        # By each text a word became: its tokens; whether they start and end
-        # with a word, so that no token around them joins them; and its words.
-        self.regions: dict[str, tuple[list[Token], bool, list[tuple[int, str, int]]]] = {}
-        self.at: dict[int, int] = {}  # the token index of each pending finding, by its start
-        self.starts: dict[int, int] = {}  # the start of each of those tokens, by index
-
-    def apply(self, chosen: list[Diagnostic]) -> list[Diagnostic]:
-        """Apply ``chosen``, sorted and each inside one word, and return the
-        fixable findings of the new text: those of the rewritten words, and
-        those of the context rules on the words next to them whose reach
-        changed."""
-        tokens, at, starts, regions = self.tokens, self.at, self.starts, self.regions
-        lex, rules = self.lex, self.rules
-        if not at:  # the first pass, whose tokens' starts are current
-            starts = list(map(_START, tokens))
-            for d in chosen:
-                at[d.start] = bisect_right(starts, d.start) - 1
-        self.at = next_at = {}
-        self.starts = next_starts = {}
-        found: list[Diagnostic] = []
-        out: list[Token] = []
-        # The words to run context rules on once ``out`` is whole: each one's
-        # index, its start, and the reach of the rules to run, None for all;
-        # flat, so that the collector tracks fewer objects.
-        jobs: list = []
-        glued: dict[int, list[str]] = {}
-        copied = shift = i = 0
-        ragged = False  # the last region did not end with a word
-        while i < len(chosen):
-            d = chosen[i]
-            index = at[d.start]
-            start = starts[index]
-            word = tokens[index].text
-            new, cut = word[: d.start - start] + d.replacement, d.end - start
+def _rewrite(
+    parts: list[str],
+    ends: list[int],
+    chosen: list[Diagnostic],
+    lex: Lexicon,
+    rules: _RuleSet,
+    splits: dict[str, tuple[str, ...]],
+) -> tuple[list[str], list[int], list[Diagnostic]]:
+    """Apply ``chosen``, sorted and each in one word of ``parts`` (which end
+    at ``ends``); return the new parts, their ends, and the fixable findings
+    of the new words and of the changed reaches of the words beside them."""
+    out = [""]
+    # The pieces that join the open gap out[-1] once a word closes it; joined
+    # once, so that a chain of deleted words stays linear.
+    more: list[str] = []
+    # Each word to lint, by index in ``out``, and the reach of its rules to run, None for all.
+    jobs: list[tuple[int, str | None]] = []
+    copied = i = 0
+    while i < len(chosen):
+        k = bisect_right(ends, chosen[i].start, copied)
+        start, word = ends[k - 1], parts[k]
+        new, cut = "", 0
+        while i < len(chosen) and (d := chosen[i]).start < ends[k]:
+            new += word[cut : d.start - start] + d.replacement
+            cut = d.end - start
             i += 1
-            while i < len(chosen) and (d := chosen[i]).start < start + len(word):
-                new += word[cut : d.start - start] + d.replacement
-                cut = d.end - start
-                i += 1
-            new += word[cut:]
-            start += shift
-            entry = regions.get(new)
-            if entry is None:
-                region = tokenize(new)
-                plain = bool(region) and region[0].kind is region[-1].kind is _WORDS
-                words = [(w, t.text, t.start) for w, t in enumerate(region) if t.kind is _WORDS]
-                entry = regions[new] = region, plain, words
-            region, plain, words = entry
-            if ragged:
-                _join(out, tokens[copied:index], glued)
-            else:
-                out += tokens[copied:index]
-            # The unchanged word across spaces before, unless it was rewritten too.
-            if index > 1 and tokens[index - 1].kind is _SPACE and tokens[index - 2].kind is _WORDS:
-                if copied != index - 1:
-                    gap = len(tokens[index - 1].text) + len(tokens[index - 2].text)
-                    jobs += len(out) - 2, start - gap, "next_word"
-            base = len(out)
-            if plain:
-                out += region
-            else:
-                base -= _join(out, region, glued)
-            ragged = not plain
-            for w, text, offset in words:
-                word_found, gated = rules.memo.get(text) or _remember(text, lex, rules)
-                s = start + offset
-                for f in word_found:
-                    if _fixable(f):
-                        found.append(
-                            Diagnostic(f.rule, f.start + s, f.end + s, f.severity, f.message, f.replacement)
-                        )
-                        next_at[f.start + s] = base + w
-                        next_starts[base + w] = s
-                if gated:
-                    jobs += base + w, s, None
-            # And the one after: the space joins the last token here if that is one.
-            if index + 2 < len(tokens) and tokens[index + 1].kind is _SPACE and tokens[index + 2].kind is _WORDS:
-                if i == len(chosen) or at[chosen[i].start] != index + 2:
-                    after = len(out) + (not out or out[-1].kind is not _SPACE)
-                    jobs += after, start + len(new) + len(tokens[index + 1].text), "prev_word"
-            copied = index + 1
-            shift += len(new) - len(word)
-        _join(out, tokens[copied:], glued)
-        for i, texts in glued.items():
-            out[i] = Token(out[i].kind, "".join(texts), 0, 0)
-        self.tokens = out
-        for i, start, side in zip(*[iter(jobs)] * 3):
-            gated = (rules.memo.get(out[i].text) or _remember(out[i].text, lex, rules))[1]
-            if side and gated:  # on an unchanged word, only those whose reach changed
-                gated = [rule for rule in gated if rule.reach == side]
+        new += word[cut:]
+        sub = splits.get(new)
+        if sub is None:
+            sub = splits[new] = tuple(split_words(new))
+        # The parts up to the word, then the split of what it became, each
+        # ``[gap, word, …, gap]`` with its first gap joining the open one.
+        for run in (parts[copied:k], sub):
+            if run[0]:
+                more.append(run[0])
+            if len(run) > 1:
+                if more:
+                    out[-1] += "".join(more)
+                    more = []
+                out += run[1:]
+        at = len(out) - len(sub)  # the index of the gap before the word
+        # The unchanged word across spaces before, unless it was rewritten too.
+        if copied < k - 1 and parts[k - 1].isspace():
+            jobs.append((at - 1, "next_word"))
+        for j in range(at + 1, len(out), 2):
+            jobs.append((j, None))
+        # And the one after, unless the next fix is in it.
+        if k + 2 < len(parts) and parts[k + 1].isspace():
+            if i == len(chosen) or chosen[i].start >= ends[k + 2]:
+                jobs.append((len(out), "prev_word"))
+        copied = k + 1
+    out[-1] += "".join(more) + parts[copied]
+    out += parts[copied + 1 :]
+    ends = list(accumulate(map(len, out)))
+    found: list[Diagnostic] = []
+    for i, side in jobs:
+        word_found, gated = rules.memo.get(out[i]) or _remember(out[i], lex, rules)
+        if side:  # on an unchanged word, only the rules whose reach changed
             if gated:
-                self._run(i, start, gated, found)
-        return found
-
-    def _run(self, i: int, start: int, todo: tuple | list, found: list[Diagnostic]) -> None:
-        """Run the rules ``todo`` on the window of the word ``i``, which
-        starts at ``start``, keeping their fixable findings in ``found``."""
-        tokens = self.tokens
-        text = tokens[i].text
-        end = start + len(text)
-        prev = nxt = None
-        if i > 1 and tokens[i - 1].kind is _SPACE and tokens[i - 2].kind is _WORDS:
-            edge = start - len(tokens[i - 1].text)
-            prev = Token(_WORDS, tokens[i - 2].text, edge - len(tokens[i - 2].text), edge)
-        if i + 2 < len(tokens) and tokens[i + 1].kind is _SPACE and tokens[i + 2].kind is _WORDS:
-            edge = end + len(tokens[i + 1].text)
-            nxt = Token(_WORDS, tokens[i + 2].text, edge, edge + len(tokens[i + 2].text))
-        window = RuleWindow(Token(_WORDS, text, start, end), prev, nxt)
-        for rule in todo:
-            for d in rule.body(window, self.lex, self.rules.fused):
-                if _fixable(d):
-                    found.append(d)
-                    self.at[d.start] = i
-                    self.starts[i] = start
+                gated = [rule for rule in gated if rule.reach == side]
+        elif word_found:
+            s = ends[i - 1]
+            found += [
+                Diagnostic(f.rule, f.start + s, f.end + s, f.severity, f.message, f.replacement)
+                for f in word_found
+                if _fixable(f)
+            ]
+        if gated:  # the neighbour either side is two parts away, across spaces only
+            prev = nxt = None
+            if i > 1 and out[i - 1].isspace():
+                prev = Token(TokenKind.WORD, out[i - 2], ends[i - 3], ends[i - 2])
+            if i + 2 < len(out) and out[i + 1].isspace():
+                nxt = Token(TokenKind.WORD, out[i + 2], ends[i + 1], ends[i + 2])
+            window = RuleWindow(Token(TokenKind.WORD, out[i], ends[i - 1], ends[i]), prev, nxt)
+            for rule in gated:
+                found += filter(_fixable, rule.body(window, lex, rules.fused))
+    return out, ends, found

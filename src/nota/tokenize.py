@@ -45,3 +45,9 @@ def tokenize(text: str) -> list[Token]:
         Token(_GROUP_KINDS[m.lastindex], m.group(), m.start(), m.end())
         for m in _RUNS.finditer(text)
     ]
+
+
+# ``[gap, word, gap, …, word, gap]``: the WORD token texts of ``tokenize``
+# at the odd indices, and the text around and between them, which joins
+# back to the input; only the first and last gap can be empty.
+split_words = re.compile(f"([{_WORD}]+)").split

@@ -230,6 +230,11 @@ def _no_prepositions(tmp):
     return _file(tmp / "lex" / "prepositions.tsv", b"# none\n")
 
 
+def _empty_dir(tmp):
+    (tmp / "empty").mkdir()
+    return str(tmp / "empty")
+
+
 def _corpus(tmp):
     _file(tmp / "corpus" / "a.txt", CLEAN.encode())
     return str(tmp / "corpus")
@@ -258,6 +263,9 @@ FAILURES = {
     "R-SEP without prepositions, stats": (None, lambda tmp: [
         "stats", _corpus(tmp), "--lexicon", _no_prepositions(tmp),
     ]),
+    "R-SEP without prepositions, stats of an empty directory": (None, lambda tmp: [
+        "stats", _empty_dir(tmp), "--lexicon", _no_prepositions(tmp),
+    ]),
     "unwritable --out": (None, lambda tmp: [
         "stats", _corpus(tmp), "--out", str(tmp / "no" / "such" / "dir" / "r.json"),
     ]),
@@ -273,6 +281,9 @@ FAILURES = {
     ]),
     "lexicon validate a پ/ڤ/ڨ variant letter": (None, lambda tmp: [
         "lexicon", "validate", _file(tmp / "variant_map.tsv", "ڤ\tڨ\nڨ\tڤ\n".encode()),
+    ]),
+    "lexicon validate a mark as a variant letter": (None, lambda tmp: [
+        "lexicon", "validate", _file(tmp / "variant_map.tsv", "\u064e\tڨ\n".encode()),
     ]),
     **{
         f"config {doc}": (None, lambda tmp, doc=doc: [

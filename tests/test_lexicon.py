@@ -104,9 +104,17 @@ def test_variant_map_target_constrained():
         load_lexicon({"variant_map": ["گ\tق"]})  # ق is not supplemental
 
 
-@pytest.mark.parametrize("rows", [["ڨ\tڨ"], ["ڤ\tڨ", "ڨ\tڤ"], ["پ\tڤ"]])
+# Variant keys that are not one Arabic letter: a Fatha, a space, an ASCII
+# and an Arabic-Indic digit, a Latin letter, tatweel and a presentation form.
+NOT_LETTERS = ["\u064e", " ", "1", "\u0663", "a", "\u0640", "\ufe8f"]
+
+
+@pytest.mark.parametrize("rows", [
+    ["ڨ\tڨ"], ["ڤ\tڨ", "ڨ\tڤ"], ["پ\tڤ"], *([key + "\tڨ"] for key in NOT_LETTERS),
+])
 def test_variant_map_source_not_canonical(rows):
-    # A variant that is itself پ/ڤ/ڨ would rewrite forever, or onto itself.
+    # A variant that is itself پ/ڤ/ڨ would rewrite forever, or onto itself;
+    # one that is not a letter would rewrite a mark, or never be read.
     with pytest.raises(InvalidScriptError):
         load_lexicon({"variant_map": rows})
 
@@ -114,6 +122,12 @@ def test_variant_map_source_not_canonical(rows):
 def test_config_variant_map_source_not_canonical():
     with pytest.raises(InvalidScriptError):
         default_lexicon(variant_map={"ڨ": "ڨ"})
+
+
+@pytest.mark.parametrize("key", NOT_LETTERS)
+def test_config_variant_map_key_not_a_letter(key):
+    with pytest.raises(InvalidScriptError):
+        default_lexicon(variant_map={key: "ڨ"})
 
 
 def test_gaf_respelling_constrained():

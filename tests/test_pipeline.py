@@ -343,18 +343,30 @@ def test_fix_loop_edges_take_the_fixes_named(lex, text, rules, passes):
 
 
 def test_fix_loop_relints_no_more_than_the_first_pass_as_text_grows(monkeypatch, lex):
-    """Passes after the first re-lint a bounded neighbourhood of each fix,
-    and read its words through ``tokenize`` too: with one fix on line 1 of
-    N, the text handed to ``tokenize`` is the first pass's plus a part
-    that does not grow with N."""
+    """Passes after the first read only a bounded neighbourhood of each fix:
+    with one fix on line 1 of N, the texts handed to ``split_words`` (the
+    whole text once, then each rewritten word) and the words the loop looks
+    up in the rule memo add up to the first pass's text plus a part that
+    does not grow with N."""
     seen: list[int] = []
-    original = nota.pipeline.tokenize
+    split_words = nota.pipeline.split_words
 
-    def counted(text):
+    def counted_split(text):
         seen.append(len(text))
-        return original(text)
+        return split_words(text)
 
-    monkeypatch.setattr(nota.pipeline, "tokenize", counted)
+    class CountedMemo(dict):
+        def get(self, text, default=None):
+            seen.append(len(text))
+            return super().get(text, default)
+
+    class CountedRuleSet(nota.pipeline._RuleSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.memo = CountedMemo(self.memo)
+
+    monkeypatch.setattr(nota.pipeline, "split_words", counted_split)
+    monkeypatch.setattr(nota.pipeline, "_RuleSet", CountedRuleSet)
     for lines in (10, 100, 1000):
         text = "اَلدار قدام الحومة\n" + "بش نمشي في الدار\n" * (lines - 1)
         seen.clear()

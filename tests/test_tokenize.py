@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 import rules_oracle
 import tokenize_oracle
-from gen import HOSTILE_DOCS, wide_text
+from gen import HOSTILE_DOCS, lexicon_word_pool, random_text, wide_text
+from nota.lexicon import default_lexicon
 from nota.rules import windows
 from nota.script import skeleton
-from nota.tokenize import TokenKind, tokenize
+from nota.tokenize import TokenKind, split_words, tokenize
 
 any_text = st.text(max_size=80)
 mixed_text = st.text(
@@ -125,3 +127,26 @@ def test_linear_on_hostile_sizes(name):
     tokens = tokenize(text)
     assert time.perf_counter() - start < 5.0
     assert "".join(t.text for t in tokens) == text
+
+
+def _check_split_words(text: str) -> None:
+    parts = split_words(text)
+    assert "".join(parts) == text
+    assert len(parts) % 2 == 1
+    assert parts[1::2] == [t.text for t in tokenize(text) if t.kind is TokenKind.WORD]
+    assert all(parts[2:-1:2])  # every gap but the first and the last
+
+
+POOL = lexicon_word_pool(default_lexicon())
+
+
+@given(st.one_of(st.text(), wide_text, st.integers(0, 2**32 - 1).map(
+    lambda seed: random_text(random.Random(seed), POOL)
+)))
+def test_split_words_matches_tokenize(text):
+    _check_split_words(text)
+
+
+@pytest.mark.parametrize("name", HOSTILE_DOCS)
+def test_split_words_matches_tokenize_on_hostile_docs(name):
+    _check_split_words(HOSTILE_DOCS[name])
