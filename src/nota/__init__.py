@@ -1,7 +1,6 @@
 """Normalizer, linter and auto-fixer for Tunisian Arabic in Arabic script."""
 
 from .config import Config, ConfigError, load_config
-from .corpus import collect_stats, report_to_json
 from .lexicon import Lexicon, LexiconError, default_lexicon
 from .pipeline import FixEvent, Mode, PassCapExceededError, RunResult, normalize
 from .rules import Diagnostic, Severity
@@ -25,3 +24,12 @@ __all__ = [
     "normalize",
     "report_to_json",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Load the stats reporter on first use of its two names, not at import."""
+    if name in ("collect_stats", "report_to_json"):
+        from . import corpus
+
+        return getattr(corpus, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,19 +5,20 @@ validate``, ``translit``, ``romanize``.  Exit codes follow lint
 conventions: 0 clean, 1 diagnostics found or fixes applied, 2 usage,
 IO, config or lexicon errors; ``--strict`` makes a check fail on
 info-level findings too.  ``-`` reads standard input.
+
+Only the lint core is imported at module level; each other subcommand
+imports its own modules, so that ``normalize`` starts without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Callable
 
 from .config import Config, ConfigError, DEFAULT_CONFIG, load_config
-from .corpus import collect_stats, report_to_json
 from .lexicon import (
     Lexicon,
     LexiconError,
@@ -25,10 +26,7 @@ from .lexicon import (
     resolve_lexicon_paths,
 )
 from .pipeline import Mode, PassCapExceededError, normalize
-from .romanize import RomanizeError, romanize
 from .rules import Severity
-from .script import VOWEL_MARKS
-from .translit import TranslitError, transliterate_line
 
 
 class CliError(Exception):
@@ -59,6 +57,8 @@ def _load_setup(args: argparse.Namespace) -> tuple[Lexicon, Config]:
 
 
 def _dump_json(obj: object) -> str:
+    import json
+
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
@@ -115,6 +115,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .corpus import collect_stats, report_to_json
+
     lex, config = _load_setup(args)
     try:
         report = collect_stats(Path(args.directory), lex, config)
@@ -165,6 +167,8 @@ def _per_line(
 
 
 def _cmd_translit(args: argparse.Namespace) -> int:
+    from .translit import TranslitError, transliterate_line
+
     similarity = _load_config(args).vowel_similarity
     return _per_line(
         args,
@@ -174,6 +178,9 @@ def _cmd_translit(args: argparse.Namespace) -> int:
 
 
 def _cmd_romanize(args: argparse.Namespace) -> int:
+    from .romanize import RomanizeError, romanize
+    from .script import VOWEL_MARKS
+
     def convert(word: str) -> str:
         mode = args.mode
         if mode == "auto":

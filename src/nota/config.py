@@ -17,7 +17,6 @@ errors::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -116,6 +115,8 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
 
 
 def load_config(path: Path | str) -> Config:
+    import json  # here, so that a run with no config file never loads it
+
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))

@@ -290,15 +290,19 @@ def load_lexicon(sources: Mapping[str, Iterable[str]]) -> Lexicon:
 
 
 def resolve_lexicon_paths(paths: Iterable[Path]) -> dict[str, Path]:
-    """Map file or directory paths onto lexicon roles by file stem."""
+    """Map file or directory paths onto lexicon roles by file stem; a
+    directory must hold at least one ``<role>.tsv`` file."""
     role_paths: dict[str, Path] = {}
     for p in paths:
         p = Path(p)
         if p.is_dir():
-            for role in ROLES:
-                candidate = p / f"{role}.tsv"
-                if candidate.is_file():
-                    role_paths[role] = candidate
+            found = {role: path for role in ROLES if (path := p / f"{role}.tsv").is_file()}
+            if not found:
+                raise LexiconError(
+                    f"no lexicon files in {p}: expected one of"
+                    f" {', '.join(role + '.tsv' for role in ROLES)}"
+                )
+            role_paths.update(found)
         elif p.stem in ROLES:
             role_paths[p.stem] = p
         else:

@@ -3,7 +3,8 @@ each fix.
 
 Kept as the oracle for ``nota.pipeline.normalize``: every pass after
 the first re-tokenizes and re-lints the whole rewritten text.  The code
-is the implementation it replaced, unchanged.
+is the implementation it replaced, except that it calls
+``validate_setup`` first, which ``_lint`` no longer does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from nota.pipeline import (
     _lint,
     _lint_canonical,
     _select_nonoverlapping,
+    validate_setup,
 )
 from nota.rules import Diagnostic
 
@@ -30,6 +32,7 @@ def normalize(
     mode: Mode = Mode.CHECK,
 ) -> RunResult:
     """Run the full pipeline over one document."""
+    validate_setup(lex, config)
     canon, _, first_pass = _lint(text, lex, config)
     reported = []
     for d in first_pass:

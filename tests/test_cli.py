@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,12 @@ def _no_prepositions(tmp):
     return _file(tmp / "lex" / "prepositions.tsv", b"# none\n")
 
 
+def _no_role_files(tmp):
+    """A directory holding a lexicon file under a name that is no ``<role>.tsv``."""
+    _file(tmp / "lex" / "verbs.txt", "مشى\tيمشي\t0\tتمشي\n".encode())
+    return str(tmp / "lex")
+
+
 def _empty_dir(tmp):
     (tmp / "empty").mkdir()
     return str(tmp / "empty")
@@ -253,6 +261,12 @@ FAILURES = {
     "missing lexicon path in --config": (None, lambda tmp: [
         "normalize", "--config", _file(tmp / "cfg.json", b'{"lexicon": {"verbs": "nope.tsv"}}'),
         _file(tmp / "in.txt", CLEAN.encode()),
+    ]),
+    "--lexicon directory with no lexicon files": (None, lambda tmp: [
+        "normalize", "--lexicon", _no_role_files(tmp), _file(tmp / "in.txt", CLEAN.encode()),
+    ]),
+    "lexicon validate a directory with no lexicon files": (None, lambda tmp: [
+        "lexicon", "validate", _no_role_files(tmp),
     ]),
     "lexicon validate non-UTF-8": (None, lambda tmp: [
         "lexicon", "validate", _file(tmp / "known_words.tsv", b"\xc3\x28\n"),
@@ -326,3 +340,75 @@ def test_failure_exits_2_with_one_error_line(case, tmp_path, monkeypatch, capsys
     assert err.startswith("nota: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert out == ""
+
+
+# --- fresh processes -----------------------------------------------------------
+#
+# The CLI and nota/__init__.py import a subcommand's modules only when it
+# runs.  The tests above cannot see such an import gone missing or
+# misplaced, since by then this process has imported everything; these
+# start a new interpreter.
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# What neither `import nota` nor `import nota.cli` may load.
+SUBCOMMAND_ONLY = ("nota.corpus", "nota.romanize", "nota.translit", "nota.graphemes", "json")
+
+
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=cwd,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+
+
+@pytest.mark.parametrize("module", ["nota", "nota.cli"])
+def test_import_loads_no_subcommand_module(module):
+    proc = _python("-c", f"import sys, {module}; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert [name for name in SUBCOMMAND_ONLY if name in loaded] == []
+
+
+def test_import_nota_loads_the_stats_reporter_on_first_use():
+    proc = _python("-c", (
+        "import sys, nota\n"
+        "assert 'nota.corpus' not in sys.modules\n"
+        "from nota import collect_stats\n"
+        "assert collect_stats is sys.modules['nota.corpus'].collect_stats\n"
+        "assert nota.report_to_json is sys.modules['nota.corpus'].report_to_json\n"
+        "nota.normalize\n"
+    ))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# One row per subcommand path: (argv built under tmp_path, exit code, what
+# stdout starts with, what stderr starts with).
+FRESH = {
+    "stats DIR": (lambda tmp: ["stats", _corpus(tmp)], 0, (
+        '{\n  "clean_word_ratio": 1.0,\n  "clean_words": 1,\n  "diagnostics_per_rule": {},\n'
+    ), ""),
+    "translit": (lambda tmp: ["translit", _file(tmp / "w.txt", b"f r i k . s a j\n")],
+                 0, "فريكساي\n", ""),
+    "romanize": (lambda tmp: ["romanize", _file(tmp / "w.txt", "ڨ\nبَاش\n".encode())],
+                 0, "g\nbaːʃ\n", ""),
+    "lexicon validate": (lambda tmp: ["lexicon", "validate"], 0, "ok: ", ""),
+    "normalize --format json": (lambda tmp: [
+        "normalize", "--format", "json", _file(tmp / "in.txt", DIRTY.encode()),
+    ], 1, '[\n  {\n    "end": ', ""),
+    "normalize --config BAD.json": (lambda tmp: [
+        "normalize", "--config", _file(tmp / "cfg.json", b"{"), _file(tmp / "in.txt", CLEAN.encode()),
+    ], 2, "", "nota: error: invalid JSON in "),
+}
+
+
+@pytest.mark.parametrize("case", FRESH)
+def test_subcommand_in_a_fresh_process(case, tmp_path, capsys):
+    build_argv, code, out_start, err_start = FRESH[case]
+    argv = build_argv(tmp_path)
+    proc = _python("-m", "nota.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(out_start)
+    assert proc.stderr.startswith(err_start) and proc.stderr.count("\n") == (1 if err_start else 0)
+    # The same bytes as a run in this process, where everything is loaded.
+    assert (main(argv), *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr)

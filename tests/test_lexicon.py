@@ -10,11 +10,13 @@ from nota.lexicon import (
     DuplicateEntryError,
     InvalidScriptError,
     Lexicon,
+    LexiconError,
     LexiconParseError,
     _require_word,
     default_lexicon,
     fold_final_alef,
     load_lexicon,
+    resolve_lexicon_paths,
 )
 from nota.script import skeleton
 from nota.tokenize import TokenKind, tokenize
@@ -138,6 +140,15 @@ def test_gaf_respelling_constrained():
 def test_unknown_role_rejected():
     with pytest.raises(Exception):
         load_lexicon({"nouns": []})
+
+
+def test_directory_without_role_files_rejected(tmp_path):
+    (tmp_path / "verbs.txt").write_text("", encoding="utf-8")
+    (tmp_path / "known_words.tsv").mkdir()
+    with pytest.raises(LexiconError, match="no lexicon files in"):
+        resolve_lexicon_paths([tmp_path])
+    (tmp_path / "prepositions.tsv").write_text("في\n", encoding="utf-8")
+    assert resolve_lexicon_paths([tmp_path]) == {"prepositions": tmp_path / "prepositions.tsv"}
 
 
 def test_loading_is_deterministic():

@@ -325,6 +325,18 @@ def test_fix_loop_matches_oracle_on_edges(lex, text, max_passes):
     assert _run(text, lexicon, config) == _run(text, lexicon, config, pipeline_oracle.normalize)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("text", ["", "فالدار اَلدار"])
+def test_fix_loop_matches_oracle_without_prepositions(lex, mode, text):
+    """Both raise ConfigError while R-SEP is on, and agree once it is off."""
+    lexicon = replace(lex, prepositions=frozenset())
+    for fn in (normalize, pipeline_oracle.normalize):
+        with pytest.raises(ConfigError, match="preposition list is empty"):
+            fn(text, lexicon, DEFAULT_CONFIG, mode)
+    config = Config(rules={"R-SEP": False})
+    assert normalize(text, lexicon, config, mode) == pipeline_oracle.normalize(text, lexicon, config, mode)
+
+
 @pytest.mark.parametrize("text, rules, passes", [
     ("باٌش نمشي", ["R-VOW", "R-FUT"], 3),
     ("ٌباش نمشي", ["R-VOW", "R-FUT"], 3),

@@ -105,8 +105,8 @@ def test_tokens_and_windows_match_oracles(text):
 def test_tokenize_splits_at_whitespace(text):
     """Cut anywhere next to whitespace, the two sides tokenize on their own.
 
-    The fix loop re-lints whitespace-delimited runs apart from the rest of
-    the text on this invariant.
+    That is, ``tokenize`` is local at whitespace cuts, which a lint of the
+    text in whitespace-aligned chunks (ROADMAP item J) relies on.
     """
     tokens = tokenize(text)
     for cut in range(1, len(text)):
