@@ -23,6 +23,7 @@ from typing import Mapping
 
 from .lexicon import ROLES
 from .rules import DEFAULT_FUSED_PREPOSITIONS, RULE_IDS
+from .script import WORD_CHARS, skeleton
 
 
 class ConfigError(Exception):
@@ -110,6 +111,16 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
         fields[name] = _require_str_mapping(table, f"tables.{name}")
     if not all(v in {"A", "E", "I", "U"} for v in tables.get("vowel_similarity", {}).values()):
         raise ConfigError("tables.vowel_similarity values must be A, E, I or U")
+    # R-SEP matches a key on a word's skeleton and writes its value as words.
+    for head, expanded in tables.get("fused_prepositions", {}).items():
+        words = expanded.split(" ")
+        if len(words) < 2 or not all(
+            w and WORD_CHARS.issuperset(w) and skeleton(w) == w for w in (head, *words)
+        ):
+            raise ConfigError(
+                "tables.fused_prepositions maps one undiacritized word onto two or more"
+                f" joined by single spaces, not {head!r} onto {expanded!r}"
+            )
 
     return Config(**fields)
 

@@ -290,11 +290,10 @@ def load_lexicon(sources: Mapping[str, Iterable[str]]) -> Lexicon:
 
 
 def resolve_lexicon_paths(paths: Iterable[Path]) -> dict[str, Path]:
-    """Map file or directory paths onto lexicon roles by file stem; a
-    directory must hold at least one ``<role>.tsv`` file."""
+    """Map existing file or directory paths onto lexicon roles by file
+    stem; a directory must hold at least one ``<role>.tsv`` file."""
     role_paths: dict[str, Path] = {}
     for p in paths:
-        p = Path(p)
         if p.is_dir():
             found = {role: path for role in ROLES if (path := p / f"{role}.tsv").is_file()}
             if not found:
@@ -303,6 +302,8 @@ def resolve_lexicon_paths(paths: Iterable[Path]) -> dict[str, Path]:
                     f" {', '.join(role + '.tsv' for role in ROLES)}"
                 )
             role_paths.update(found)
+        elif not p.exists():
+            raise LexiconError(f"no such lexicon file or directory: {p}")
         elif p.stem in ROLES:
             role_paths[p.stem] = p
         else:

@@ -8,16 +8,15 @@ original input; the applied rewrites are recorded in a fix trace.
 
 Only the first pass tokenizes and lints the whole text.  Every finding
 lies inside one word, so a pass rewrites words and nothing between them,
-and each rule reads its word and at most the one neighbouring word, across
-spaces, that its declared reach in ``nota.rules`` names.  So after a
-rewrite the loop re-lints, through the rule memo, only the words that came
-out of the rewritten ones (an R-SEP split gives two, a deleted lone mark
-none) and, on the unchanged word on either side of them, the rules whose
-reach is that side, where the word passes their gate (Wagner & Graham,
-"Efficient and Flexible Incremental Parsing", TOPLAS 1998).  Every other
-rule sees the window it saw before, so finds what it found; and none of
-that is fixable, for the fix choice is maximal: each fixable finding of a
-pass overlaps a chosen fix, so lies in a word the pass rewrote.
+and a rule reads at most its word and the word next to it, across spaces,
+on either side.  So a rewrite changes the windows of the words it made (an
+R-SEP split gives two, a deleted lone mark none) and of the unchanged word
+across spaces on either side of them.  The loop re-lints exactly those
+words, each once per pass, with every enabled rule, through the rule memo
+(Wagner & Graham, "Efficient and Flexible Incremental Parsing", TOPLAS
+1998).  That suffices because the fix choice is maximal: each fixable
+finding of a pass overlaps a chosen fix, so a word the pass did not
+rewrite, in a window that did not change, holds no fixable finding.
 
 The loop keeps the text as ``split_words`` gives it, ``[gap, word, gap,
 …, word, gap]``.  A pass bisects the part ends to find each fix's word,
@@ -85,9 +84,7 @@ def validate_setup(lex: Lexicon, config: Config) -> None:
 
 
 def _fixable(diag: Diagnostic) -> bool:
-    if diag.replacement is None:
-        return False
-    return diag.severity in (Severity.ERROR, Severity.WARNING)
+    return diag.replacement is not None and diag.severity in (Severity.ERROR, Severity.WARNING)
 
 
 def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
@@ -108,16 +105,6 @@ def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
     return chosen
 
 
-def _lint_canonical(
-    text: str, lex: Lexicon, config: Config
-) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize already canonical text and run the enabled rules over it."""
-    tokens = tokenize(text)
-    return tokens, run_rules(
-        tokens, lex, enabled=config.rules, fused_prepositions=config.fused_prepositions
-    )
-
-
 def _lint(
     text: str, lex: Lexicon, config: Config
 ) -> tuple[Canonical, list[Token], list[Diagnostic]]:
@@ -126,7 +113,10 @@ def _lint(
     Token and diagnostic spans point into ``canon.text``.
     """
     canon = canonicalize(text)
-    return (canon, *_lint_canonical(canon.text, lex, config))
+    tokens = tokenize(canon.text)
+    return canon, tokens, run_rules(
+        tokens, lex, enabled=config.rules, fused_prepositions=config.fused_prepositions
+    )
 
 
 def normalize(
@@ -186,13 +176,13 @@ def _rewrite(
 ) -> tuple[list[str], list[int], list[Diagnostic]]:
     """Apply ``chosen``, sorted and each in one word of ``parts`` (which end
     at ``ends``); return the new parts, their ends, and the fixable findings
-    of the new words and of the changed reaches of the words beside them."""
+    of the new words and of the unchanged words beside them."""
     out = [""]
     # The pieces that join the open gap out[-1] once a word closes it; joined
     # once, so that a chain of deleted words stays linear.
     more: list[str] = []
-    # Each word to lint, by index in ``out``, and the reach of its rules to run, None for all.
-    jobs: list[tuple[int, str | None]] = []
+    # Each word whose window changed, by index in ``out``, once.
+    jobs: list[int] = []
     copied = i = 0
     while i < len(chosen):
         k = bisect_right(ends, chosen[i].start, copied)
@@ -217,26 +207,25 @@ def _rewrite(
                     more = []
                 out += run[1:]
         at = len(out) - len(sub)  # the index of the gap before the word
-        # The unchanged word across spaces before, unless it was rewritten too.
-        if copied < k - 1 and parts[k - 1].isspace():
-            jobs.append((at - 1, "next_word"))
-        for j in range(at + 1, len(out), 2):
-            jobs.append((j, None))
-        # And the one after, unless the next fix is in it.
+        # The new words, with the unchanged word across spaces on either
+        # side: the one before unless it was rewritten too or is taken
+        # already as the one after the previous fix's word, and the one
+        # after unless the next fix is in it.
+        lo, hi = at + 1, len(out)
+        if copied < k - 1 and parts[k - 1].isspace() and at - 1 not in jobs[-1:]:
+            lo = at - 1
         if k + 2 < len(parts) and parts[k + 1].isspace():
             if i == len(chosen) or chosen[i].start >= ends[k + 2]:
-                jobs.append((len(out), "prev_word"))
+                hi += 2
+        jobs += range(lo, hi, 2)
         copied = k + 1
     out[-1] += "".join(more) + parts[copied]
     out += parts[copied + 1 :]
     ends = list(accumulate(map(len, out)))
     found: list[Diagnostic] = []
-    for i, side in jobs:
+    for i in jobs:
         word_found, gated = rules.memo.get(out[i]) or _remember(out[i], lex, rules)
-        if side:  # on an unchanged word, only the rules whose reach changed
-            if gated:
-                gated = [rule for rule in gated if rule.reach == side]
-        elif word_found:
+        if word_found:
             s = ends[i - 1]
             found += [
                 Diagnostic(f.rule, f.start + s, f.end + s, f.severity, f.message, f.replacement)

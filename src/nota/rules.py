@@ -12,15 +12,14 @@ them once per distinct word text and keeps their findings in a bounded
 memo on the Lexicon. R-FUT reads the next word and R-PRON the previous
 one, but each can fire only on a word whose skeleton passes its gate;
 the memo also keeps which gates a word passes, and the two run only on
-the windows of those words.  What each rule reads is its declared reach;
-the fix loop re-runs a rule on an unchanged word only where its reach
-changed.
+the windows of those words.
 
 ``_RULES`` is the one table of the rules: by id, in priority order, each
-rule's body, reach and gate.  Declaring a rule takes its body, named
-``rule_`` and its id's suffix in lower case, one ``_RULES`` entry and one
-row of README's rule table; ``RULE_PRIORITY``, ``RULE_IDS`` and the rule
-sets that ``run_rules`` and the fix loop use are derived from the table.
+rule's body and, for a context rule, its gate.  Declaring a rule takes
+its body, named ``rule_`` and its id's suffix in lower case, one
+``_RULES`` entry and one row of README's rule table; ``RULE_PRIORITY``,
+``RULE_IDS`` and the rule sets that ``run_rules`` and the fix loop use
+are derived from the table.
 
 The word rules share one gate, ``_word_gate``, on a word's text and
 skeleton: a non-NOTA mark or Kasra before Alef, a marked article, a
@@ -341,13 +340,12 @@ def _split(word: Token, n_letters: int, message: str, head: str | None = None) -
 
 
 class _Rule(NamedTuple):
-    """A rule: its body; its reach, the field of its window besides ``word``
-    that it reads, None for a word rule; and a context rule's gate, on the
-    skeleton of the window's word: where it is false the rule finds
-    nothing, whatever the neighbours."""
+    """A rule: its body and, for a context rule, its gate, on the skeleton
+    of the window's word: where it is false the rule finds nothing,
+    whatever the neighbours.  A rule without a gate is a word rule: it
+    reads the window's word alone."""
 
     body: Callable[[RuleWindow, Lexicon, Mapping[str, str]], list[Diagnostic]]
-    reach: str | None = None
     gate: Callable[[str], bool] | None = None
 
 
@@ -358,8 +356,8 @@ _RULES: Mapping[str, _Rule] = {
     "R-ART": _Rule(rule_art),
     "R-AMQ": _Rule(rule_amq),
     "R-IMP": _Rule(rule_imp),
-    "R-FUT": _Rule(rule_fut, "next_word", _fut_gate),
-    "R-PRON": _Rule(rule_pron, "prev_word", _pron_gate),
+    "R-FUT": _Rule(rule_fut, _fut_gate),
+    "R-PRON": _Rule(rule_pron, _pron_gate),
     "R-SEP": _Rule(rule_sep),
 }
 RULE_PRIORITY = tuple(_RULES)
@@ -431,8 +429,8 @@ class _RuleSet:
     ) -> None:
         fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
         active = {rid: rule for rid, rule in _RULES.items() if enabled is None or enabled.get(rid, True)}
-        self.word_rules = [rule.body for rule in active.values() if rule.reach is None]
-        self.context_rules = [rule for rule in active.values() if rule.reach]
+        self.word_rules = [rule.body for rule in active.values() if rule.gate is None]
+        self.context_rules = [rule for rule in active.values() if rule.gate]
         self.fused = fused
         config_key = (tuple(active), frozenset(fused.items()))
         memo = lex._rule_memo.get(config_key)

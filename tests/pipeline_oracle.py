@@ -4,7 +4,8 @@ each fix.
 Kept as the oracle for ``nota.pipeline.normalize``: every pass after
 the first re-tokenizes and re-lints the whole rewritten text.  The code
 is the implementation it replaced, except that it calls
-``validate_setup`` first, which ``_lint`` no longer does.
+``validate_setup`` first, which ``_lint`` no longer does, and re-lints
+through ``tokenize`` and ``run_rules`` itself.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from nota.pipeline import (
     RunResult,
     _fixable,
     _lint,
-    _lint_canonical,
     _select_nonoverlapping,
     validate_setup,
 )
-from nota.rules import Diagnostic
+from nota.rules import Diagnostic, run_rules
+from nota.tokenize import tokenize
 
 
 def normalize(
@@ -67,7 +68,9 @@ def normalize(
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement or "") for d in reversed(chosen)
         )
-        _, diags = _lint_canonical(current, lex, config)
+        diags = run_rules(
+            tokenize(current), lex, enabled=config.rules, fused_prepositions=config.fused_prepositions
+        )
 
     return RunResult(
         output=current,

@@ -254,6 +254,9 @@ FAILURES = {
         "normalize", "--lexicon", str(tmp / "missing" / "verbs.tsv"),
         _file(tmp / "in.txt", CLEAN.encode()),
     ]),
+    "missing --lexicon directory": (b"", lambda tmp: [
+        "normalize", "--lexicon", str(tmp / "no_such_dir"), "-",
+    ]),
     "non-UTF-8 --lexicon file": (None, lambda tmp: [
         "normalize", "--lexicon", _file(tmp / "verbs.tsv", b"\xff\xfe\n"),
         _file(tmp / "in.txt", CLEAN.encode()),
@@ -299,6 +302,14 @@ FAILURES = {
     "lexicon validate a mark as a variant letter": (None, lambda tmp: [
         "lexicon", "validate", _file(tmp / "variant_map.tsv", "\u064e\tڨ\n".encode()),
     ]),
+    **{
+        f"config fused_prepositions {table}": (None, lambda tmp, table=table: [
+            "normalize", "--fix",
+            "--config", _file(tmp / "cfg.json", json.dumps({"tables": {"fused_prepositions": table}}).encode()),
+            _file(tmp / "in.txt", "فالدار".encode()),
+        ])
+        for table in ({"فال": "فال"}, {"فال": "x"}, {"فَال": "في ال"})
+    },
     **{
         f"config {doc}": (None, lambda tmp, doc=doc: [
             "normalize", "--config", _file(tmp / "cfg.json", doc.encode()),

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from nota.config import ConfigError, load_config, parse_config
+from nota.rules import DEFAULT_FUSED_PREPOSITIONS
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def test_minimal_config():
@@ -54,6 +58,27 @@ def test_tables_override():
         {"tables": {"fused_prepositions": {"فال": "في ال"}}}
     )
     assert dict(cfg.fused_prepositions) == {"فال": "في ال"}
+
+
+def test_default_and_readme_fused_prepositions_load():
+    cfg = parse_config({"tables": {"fused_prepositions": dict(DEFAULT_FUSED_PREPOSITIONS)}})
+    assert dict(cfg.fused_prepositions) == dict(DEFAULT_FUSED_PREPOSITIONS)
+    example = README.split("## Config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    assert parse_config(json.loads(example)).fused_prepositions == {"فال": "في ال"}
+
+
+@pytest.mark.parametrize("table", [
+    {"فال": "فال"},  # one word: the fix would apply again each pass
+    {"فال": "x"},  # not Arabic script
+    {"فَال": "في ال"},  # a marked key, which no skeleton matches
+    {"فال": "في  ال"},  # two spaces
+    {"فال": "في ال "},
+    {"": "في ال"},
+    {"فال": "في ً"},
+])
+def test_bad_fused_prepositions_rejected(table):
+    with pytest.raises(ConfigError, match="fused_prepositions"):
+        parse_config({"tables": {"fused_prepositions": table}})
 
 
 def test_lexicon_paths_resolve_relative(tmp_path):

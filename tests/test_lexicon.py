@@ -151,6 +151,12 @@ def test_directory_without_role_files_rejected(tmp_path):
     assert resolve_lexicon_paths([tmp_path]) == {"prepositions": tmp_path / "prepositions.tsv"}
 
 
+@pytest.mark.parametrize("name", ["no_such_dir", "verbs.tsv"])
+def test_missing_path_rejected_as_missing(tmp_path, name):
+    with pytest.raises(LexiconError, match="no such lexicon file or directory"):
+        resolve_lexicon_paths([tmp_path / name])
+
+
 def test_loading_is_deterministic():
     assert default_lexicon() == default_lexicon()
 

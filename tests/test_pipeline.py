@@ -405,6 +405,26 @@ def test_fix_inside_a_word_relints_the_word_before(text):
     assert "R-FUT" in {f.rule for f in result.fixes}
 
 
+def test_fix_loop_lints_each_word_once_per_pass(monkeypatch):
+    """باش lies between two words that pass 1 rewrites, R-ART's and
+    R-CONS's; it is the word after the one and before the other, and is
+    re-linted once: its R-FUT finding comes back from the pass once."""
+    text = "اَلدار باش يگول"
+    returned = []
+    rewrite = nota.pipeline._rewrite
+
+    def recording(*args):
+        result = rewrite(*args)
+        returned.append(result[2])
+        return result
+
+    monkeypatch.setattr(nota.pipeline, "_rewrite", recording)
+    result = _run(text, GAF_VERB_LEXICON, Config())
+    assert [f.rule for f in result.fixes if f.pass_index == 1] == ["R-CONS", "R-ART"]
+    assert [(d.rule, d.start) for d in returned[0]] == [("R-FUT", 6)]
+    assert result == _run(text, GAF_VERB_LEXICON, Config(), pipeline_oracle.normalize)
+
+
 # R-PRON is the only rule that reads the previous word, and it is Info, so
 # nothing it finds is fixed.  The tests below raise it to a Warning to
 # reach the fix loop's previous-word side: ما كلموش then takes كلمهوش.

@@ -44,7 +44,7 @@ NIMSHI = "نمشي"   # نمشي
 DAR_DEF = "الدار"  # الدار
 
 # The bodies of the rules that read only their window's word, by id.
-WORD_RULES = {rid: rule.body for rid, rule in _RULES.items() if rule.reach is None}
+WORD_RULES = {rid: rule.body for rid, rule in _RULES.items() if rule.gate is None}
 
 
 def diags(text, lex, only=None):
@@ -469,7 +469,7 @@ def test_rule_memo_follows_lexicon_and_config(lex):
 @given(seed=st.integers(0, 2**32 - 1), wide=wide_text, synthetic=st.booleans(), fused=st.sampled_from(FUSED_MAPS[1:]))
 @example(seed=0, wide="باش نمشي ما كلموش", synthetic=False, fused={})
 def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
-    """A rule without a reach must not read a neighbour, or the memo goes wrong."""
+    """A word rule must not read a neighbour, or the memo goes wrong."""
     lexicon = SYNTHETIC if synthetic else lex
     rng = random.Random(seed)
     text = _document(rng, lexicon, wide)
@@ -494,37 +494,10 @@ def test_word_rules_are_the_rules_without_context():
     assert not set(WORD_RULES) & {"R-FUT", "R-PRON"}
 
 
-def test_every_rule_declares_its_reach():
-    """The fix loop re-runs a rule on an unchanged word only where its reach
-    changed, so a rule without a declared reach would go stale there."""
-    assert set(_RULES) == RULE_IDS
-    for rid, rule in _RULES.items():
-        assert (rule.reach is None) == (rid in WORD_RULES), rid
-        assert rule.reach in (None, "prev_word", "next_word"), rid
-
-
 def test_gates_cover_the_context_rules():
     """A rule has a gate iff it reads a neighbour."""
     gated = {rid for rid, rule in _RULES.items() if rule.gate is not None}
     assert gated == set(ORACLE_CONTEXT_RULES) == RULE_IDS - set(WORD_RULES)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), wide=wide_text, synthetic=st.booleans(), fused=st.sampled_from(FUSED_MAPS[1:]))
-@example(seed=0, wide="باش نمشي ما كلموش باش ما كلموش نمشي", synthetic=False, fused={})
-def test_rules_read_only_their_reach(lex, seed, wide, synthetic, fused):
-    """Changing a window's neighbours outside a rule's reach leaves its findings as they are."""
-    lexicon = SYNTHETIC if synthetic else lex
-    rng = random.Random(seed)
-    text = _document(rng, lexicon, wide)
-    words = [t for t in tokenize(text) if t.kind is TokenKind.WORD]
-    neighbours = [None, *words, *(tokenize(w)[0] for w in DIRTY_WORDS)]
-    for window in windows(tokenize(text)):
-        for rid, (rule, reach, _) in _RULES.items():
-            other = window._replace(
-                **{side: rng.choice(neighbours) for side in ("prev_word", "next_word") if side != reach}
-            )
-            assert rule(other, lexicon, fused) == rule(window, lexicon, fused), rid
 
 
 # --- the gates of the context rules -------------------------------------------
@@ -533,7 +506,7 @@ def test_rules_read_only_their_reach(lex, seed, wide, synthetic, fused):
 @pytest.mark.parametrize("rid", sorted(ORACLE_CONTEXT_RULES))
 def test_context_rule_finds_nothing_where_its_gate_fails(lex, rid):
     """What lets run_rules skip the window of a word whose gate fails."""
-    (rule, _, gate), oracle = _RULES[rid], ORACLE_CONTEXT_RULES[rid]
+    (rule, gate), oracle = _RULES[rid], ORACLE_CONTEXT_RULES[rid]
     fused = DEFAULT_FUSED_PREPOSITIONS
     rng = random.Random(rid)
     for lexicon in (lex, SYNTHETIC):

@@ -7,12 +7,17 @@ arguments it reads off each ``run_rules`` call, finding each rule by name
 and in ``RULE_PRIORITY`` order.  A refactor that renames, reshapes or stops
 calling any of them, or gives a rule in ``_RULES`` a body of another name,
 breaks ``bench/run.py --trace 1``; these tests make it fail the unit suite
-as well.
+as well.  The untraced run imports ``bench/tracer.py`` too, so a name it
+binds at import time that goes missing stops every benchmark run.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +97,15 @@ def test_windows_takes_tokens():
     found = windows(tokens)
     assert all(isinstance(w, RuleWindow) for w in found)
     assert [w.word.text for w in found] == ["باش", "نمشي"]
+
+
+def test_benchmark_modules_import():
+    """``bench/run.py`` and the worker it starts, with the tracer the worker
+    imports, load against this checkout's ``src``; ``-B`` writes no bytecode."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", "import worker, run"],
+        cwd=root / "bench", env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
