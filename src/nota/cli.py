@@ -33,6 +33,19 @@ class CliError(Exception):
     pass
 
 
+class _OutputError(Exception):
+    """Standard output could not be written: the reader went away, or the
+    device is full."""
+
+
+def _write(text: str) -> None:
+    """Write to standard output; what stops it raises ``_OutputError``."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
 def _read_input(name: str) -> tuple[str, str]:
     """Read a file, or standard input for ``-``, as strict UTF-8."""
     display = "<stdin>" if name == "-" else name
@@ -81,7 +94,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         result = normalize(text, lex, config, mode)
         if mode is Mode.FIX:
             failed = failed or result.output != text
-            sys.stdout.write(result.output)
+            _write(result.output)
             continue
         failed = failed or any(
             args.strict or d.severity is not Severity.INFO for d in result.diagnostics
@@ -101,13 +114,13 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
                 )
             else:
                 suffix = f" -> {d.replacement}" if d.replacement else ""
-                print(
+                _write(
                     f"{display}:{d.start}-{d.end}: {d.severity.name.lower()}"
-                    f" {d.rule}: {d.message}{suffix}"
+                    f" {d.rule}: {d.message}{suffix}\n"
                 )
 
     if mode is Mode.CHECK and args.format == "json":
-        sys.stdout.write(_dump_json(json_rows))
+        _write(_dump_json(json_rows))
     return 1 if failed else 0
 
 
@@ -124,7 +137,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     payload = report_to_json(report)
     if args.out == "-":
-        sys.stdout.write(payload)
+        _write(payload)
         return 0
     try:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -139,10 +152,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_lexicon_validate(args: argparse.Namespace) -> int:
     overrides = resolve_lexicon_paths([Path(p) for p in args.paths]) if args.paths else None
     lex = default_lexicon(overrides=overrides)
-    print(
+    _write(
         f"ok: {len(lex.verbs)} verbs, {len(lex.prepositions)} prepositions,"
         f" {len(lex.known_words)} known words, {len(lex.variant_map)} letter variants,"
-        f" {len(lex.gaf_words)} listed /g/ words"
+        f" {len(lex.gaf_words)} listed /g/ words\n"
     )
     return 0
 
@@ -162,7 +175,7 @@ def _per_line(
             out.append(convert(word) if word else "")
         except error as exc:
             raise CliError(f"line {lineno}: {exc}") from exc
-    sys.stdout.write("".join(w + "\n" for w in out))
+    _write("".join(w + "\n" for w in out))
     return 0
 
 
@@ -252,14 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _OutputError(exc) from exc
         return code
     except (CliError, ConfigError, LexiconError, PassCapExceededError) as exc:
         print(f"nota: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError as exc:
-        # The reader went away.  Point stdout at devnull, so that the
-        # interpreter's final flush of what is still buffered stays quiet.
+    except _OutputError as exc:
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # what is still buffered stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"nota: error: cannot write output: {exc}", file=sys.stderr)
         return 2

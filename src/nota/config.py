@@ -111,8 +111,11 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
         fields[name] = _require_str_mapping(table, f"tables.{name}")
     if not all(v in {"A", "E", "I", "U"} for v in tables.get("vowel_similarity", {}).values()):
         raise ConfigError("tables.vowel_similarity values must be A, E, I or U")
-    # R-SEP matches a key on a word's skeleton and writes its value as words.
-    for head, expanded in tables.get("fused_prepositions", {}).items():
+    # R-SEP matches a key on a word's skeleton and writes its value as words;
+    # a word of a value that begins with a key would be split again, and
+    # --fix would never reach a fixpoint.
+    fused = tables.get("fused_prepositions", {})
+    for head, expanded in fused.items():
         words = expanded.split(" ")
         if len(words) < 2 or not all(
             w and WORD_CHARS.issuperset(w) and skeleton(w) == w for w in (head, *words)
@@ -120,6 +123,11 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
             raise ConfigError(
                 "tables.fused_prepositions maps one undiacritized word onto two or more"
                 f" joined by single spaces, not {head!r} onto {expanded!r}"
+            )
+        if any(w.startswith(tuple(fused)) for w in words):
+            raise ConfigError(
+                f"tables.fused_prepositions value {expanded!r} holds a word that begins"
+                " with a key of the same map"
             )
 
     return Config(**fields)

@@ -21,7 +21,7 @@ from typing import Iterator
 from .config import Config, DEFAULT_CONFIG
 from .lexicon import Lexicon
 from .pipeline import _lint, validate_setup
-from .tokenize import TokenKind
+from .rules import _word_indices
 
 # Unused here, but bench/tracer.py rebinds these names on this module.
 from .rules import run_rules  # noqa: F401
@@ -50,7 +50,7 @@ class CorpusReport:
 
 def file_stats(name: str, text: str, lex: Lexicon, config: Config) -> FileStats:
     _, tokens, diagnostics = _lint(text, lex, config)
-    starts = [t.start for t in tokens if t.kind is TokenKind.WORD]
+    starts = [tokens[i].start for i in _word_indices(tokens)]
     # A word is dirty when it holds a finding's start: every finding lies
     # inside one word (see ``nota.rules``).
     dirty = {bisect_right(starts, d.start) for d in diagnostics}

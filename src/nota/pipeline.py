@@ -224,7 +224,12 @@ def _rewrite(
     ends = list(accumulate(map(len, out)))
     found: list[Diagnostic] = []
     for i in jobs:
-        word_found, gated = rules.memo.get(out[i]) or _remember(out[i], lex, rules)
+        entry = rules.memo.get(out[i])
+        if entry is None:
+            entry = _remember(out[i], lex, rules)
+        if not entry:  # a clean word
+            continue
+        word_found, gated = entry
         if word_found:
             s = ends[i - 1]
             found += [

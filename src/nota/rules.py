@@ -39,8 +39,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from itertools import compress
-from typing import Callable, Iterator, Mapping, NamedTuple
+from functools import partial
+from itertools import compress, count, repeat
+from operator import is_, itemgetter
+from typing import Callable, Mapping, NamedTuple
 
 from .lexicon import Lexicon
 from .script import (
@@ -391,18 +393,28 @@ def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
 _WORD_MEMO_CAP = 4096
 
 
-def _neighbours(tokens: list[Token]) -> Iterator[tuple[Token | None, Token, Token | None]]:
-    """``(prev, word, next)`` for each word token, the neighbours being
-    the word tokens next to it across spaces only, else None."""
-    # The non-space tokens in order, None standing for each that is not a
-    # word, padded so every word has a predecessor and a successor.
-    seq: list[Token | None] = [None]
-    seq += (
-        t if t.kind is TokenKind.WORD else None for t in tokens if t.kind is not TokenKind.SPACE
-    )
-    seq.append(None)
-    # Keep the triples whose middle is a word: a Token is truthy, None not.
-    return compress(zip(seq, seq[1:], seq[2:]), seq[1:-1])
+_KIND = itemgetter(0)
+_TEXT = itemgetter(1)
+# Reading an Enum member off its class costs a descriptor call each time,
+# and a NamedTuple's own ``__new__`` is a Python function.
+_WORD, _SPACE = TokenKind.WORD, TokenKind.SPACE
+_new_window = partial(tuple.__new__, RuleWindow)
+
+
+def _word_indices(tokens: list[Token]) -> list[int]:
+    """The index in ``tokens`` of each word token, found in C-level passes."""
+    return list(compress(count(), map(is_, map(_KIND, tokens), repeat(_WORD))))
+
+
+def _window(tokens: list[Token], i: int) -> RuleWindow:
+    """The window of the word ``tokens[i]``.  Runs are maximal, so the word
+    token next to it across spaces only is two away, past one SPACE."""
+    prev = nxt = None
+    if i > 1 and tokens[i - 1].kind is _SPACE and tokens[i - 2].kind is _WORD:
+        prev = tokens[i - 2]
+    if i + 2 < len(tokens) and tokens[i + 1].kind is _SPACE and tokens[i + 2].kind is _WORD:
+        nxt = tokens[i + 2]
+    return _new_window((tokens[i], prev, nxt))
 
 
 def windows(tokens: list[Token]) -> list[RuleWindow]:
@@ -411,7 +423,7 @@ def windows(tokens: list[Token]) -> list[RuleWindow]:
     Punctuation or foreign material breaks adjacency, so a sentence-final
     باش never sees a verb on the other side of a full stop.
     """
-    return [RuleWindow(w, p, n) for p, w, n in _neighbours(tokens)]
+    return [_window(tokens, i) for i in _word_indices(tokens)]
 
 
 class _RuleSet:
@@ -437,13 +449,15 @@ class _RuleSet:
         if memo is None:
             lex._rule_memo.clear()
             memo = lex._rule_memo[config_key] = {}
-        self.memo: dict[str, tuple[tuple[Diagnostic, ...], tuple]] = memo
+        self.memo: dict[str, tuple] = memo  # see _remember
 
 
-def _remember(text: str, lex: Lexicon, rules: _RuleSet) -> tuple[tuple[Diagnostic, ...], tuple]:
-    """The memo entry of a word text the memo lacks, stored: the word
-    rules' findings at offset 0, and the context rules whose gate the
-    word's skeleton passes."""
+def _remember(text: str, lex: Lexicon, rules: _RuleSet) -> tuple:
+    """The memo entry of a word text the memo lacks, stored: ``(found,
+    gated)``, the word rules' findings at offset 0 and the context rules
+    whose gate the word's skeleton passes, or ``()`` for a clean word,
+    one with neither.  Look an entry up with ``memo.get(text)`` against
+    None: ``()`` is falsy, and a miss must not be taken for it."""
     bare = skeleton(text)
     found: tuple[Diagnostic, ...] = ()
     if rules.word_rules and _word_gate(text, bare, lex):
@@ -456,8 +470,12 @@ def _remember(text: str, lex: Lexicon, rules: _RuleSet) -> tuple[tuple[Diagnosti
     memo = rules.memo
     if len(memo) >= _WORD_MEMO_CAP:
         memo.clear()
-    entry = memo[text] = (found, gated)
+    entry = memo[text] = (found, gated) if found or gated else ()
     return entry
+
+
+# A memo miss in run_rules: truthy, so that compress keeps it.
+_MISS = object()
 
 
 def run_rules(
@@ -471,18 +489,25 @@ def run_rules(
     The word-local rules run once per distinct word text, on the word
     alone at offset 0.  The memo keeps their findings, with the enabled
     context rules whose gate the word's skeleton passes, at most
-    ``_WORD_MEMO_CAP`` words.  The findings are shifted to each window's
-    word, and a window is built only for a word with a context rule to
-    run.
+    ``_WORD_MEMO_CAP`` words; a clean word's entry is ``()``.  The word
+    tokens are selected and looked up in C-level passes, so a clean word
+    takes no Python step: the loop runs only for memo misses and for words
+    with work.  The findings are shifted to each word, and a window is
+    built only for a word with a context rule to run.
     """
     rules = _RuleSet(lex, enabled, fused_prepositions)
     memo, fused = rules.memo, rules.fused
+    at = _word_indices(tokens)
+    entries = list(map(memo.get, map(_TEXT, map(tokens.__getitem__, at)), repeat(_MISS)))
     out: list[Diagnostic] = []
-    for prev, word, nxt in _neighbours(tokens):
-        text = word.text
-        entry = memo.get(text)
-        if entry is None:
-            entry = _remember(text, lex, rules)
+    for i, entry in compress(zip(at, entries), entries):
+        word = tokens[i]
+        if entry is _MISS:  # when ``entries`` was built; maybe remembered since
+            entry = memo.get(word.text)
+            if entry is None:
+                entry = _remember(word.text, lex, rules)
+            if not entry:
+                continue
         found, gated = entry
         if found:
             base = word.start
@@ -491,7 +516,7 @@ def run_rules(
                 for d in found
             )
         if gated:
-            window = RuleWindow(word, prev, nxt)
+            window = _window(tokens, i)
             for rule in gated:
                 out.extend(rule.body(window, lex, fused))
     # Each rule's findings lie inside its window's word, so this order does

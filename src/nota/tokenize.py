@@ -1,16 +1,24 @@
 """Lossless tokenizer: typed spans that concatenate back to the input.
 
-One compiled regex, ``([WORD_CHARS]+)|(\\s+)|([^WORD_CHARS\\s]+)``, splits
-the text into maximal runs of word characters (WORD), whitespace as
+One compiled regex, ``[WORD_CHARS]+|\\s+|[^WORD_CHARS\\s]+``, splits the
+text into maximal runs of word characters (WORD), whitespace as
 ``str.isspace`` reads it (SPACE) and everything else (OTHER): digits,
 punctuation and foreign text alike, since the rules read only words and
 the spaces between them.
+
+``tokenize`` takes no Python step per token: ``findall`` gives the run
+texts, ``accumulate`` over their lengths the offsets, a fixed table the
+kind of each run's first character, and ``tuple.__new__`` the tokens,
+each in a C-level pass over the runs.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum, auto
+from functools import partial
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .script import WORD_CHARS, char_class
@@ -30,9 +38,22 @@ class Token(NamedTuple):
 
 
 _WORD = char_class(WORD_CHARS)
-_RUNS = re.compile(rf"([{_WORD}]+)|(\s+)|([^{_WORD}\s]+)")
-# The kind of each group of _RUNS, by group number.
-_GROUP_KINDS = (None, TokenKind.WORD, TokenKind.SPACE, TokenKind.OTHER)
+_RUNS = re.compile(rf"[{_WORD}]+|\s+|[^{_WORD}\s]+")
+# Every character that ``str.isspace``, and so ``\s``, accepts; a test
+# checks the list against every code point.
+_SPACE_CHARS = (
+    "\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+# The kind of a run by its first character, any one not listed being OTHER:
+# a fixed table, so no input adds to it.
+_KIND_OF = {
+    **dict.fromkeys(WORD_CHARS, TokenKind.WORD),
+    **dict.fromkeys(_SPACE_CHARS, TokenKind.SPACE),
+}
+_FIRST = itemgetter(0)
+# A NamedTuple's own ``__new__`` is a Python function; ``tuple.__new__`` is not.
+_make_token = partial(tuple.__new__, Token)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -41,10 +62,10 @@ def tokenize(text: str) -> list[Token]:
     Mixed-script runs split at the script boundary: a Latin letter never
     joins an Arabic word token.
     """
-    return [
-        Token(_GROUP_KINDS[m.lastindex], m.group(), m.start(), m.end())
-        for m in _RUNS.finditer(text)
-    ]
+    runs = _RUNS.findall(text)
+    kinds = map(_KIND_OF.get, map(_FIRST, runs), repeat(TokenKind.OTHER))
+    bounds = list(accumulate(map(len, runs), initial=0))
+    return list(map(_make_token, zip(kinds, runs, bounds, bounds[1:])))
 
 
 # ``[gap, word, gap, …, word, gap]``: the WORD token texts of ``tokenize``

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -195,14 +196,15 @@ def test_lexicon_override_flag(tmp_path, capsys):
     assert code == 1
 
 
-class _ClosedPipe:
-    """A stdout whose reader has gone away, over a file the test owns."""
+class _FailingStdout:
+    """A stdout whose every write raises ``error``, over a file the test owns."""
 
-    def __init__(self, fd: int):
+    def __init__(self, fd: int, error: OSError):
         self._fd = fd
+        self._error = error
 
     def write(self, text: str) -> int:
-        raise BrokenPipeError(32, "Broken pipe")
+        raise self._error
 
     def flush(self) -> None:
         pass
@@ -211,15 +213,20 @@ class _ClosedPipe:
         return self._fd
 
 
-def test_broken_pipe_exits_2_without_traceback(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error", [
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),  # the reader went away
+    OSError(errno.ENOSPC, "No space left on device"),
+], ids=["EPIPE", "ENOSPC"])
+@pytest.mark.parametrize("flag", ["--check", "--fix"])
+def test_broken_pipe_exits_2_without_traceback(tmp_path, monkeypatch, capsys, error, flag):
     src = tmp_path / "in.txt"
     src.write_text(DIRTY, encoding="utf-8")
     with open(tmp_path / "sink", "wb") as sink:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
-        code = main(["normalize", "--check", str(src)])
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(sink.fileno(), error))
+        code = main(["normalize", flag, str(src)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("nota: error: ") and err.count("\n") == 1
+    assert err.startswith("nota: error: cannot write output: ") and err.count("\n") == 1
 
 
 def _file(path, data: bytes):
@@ -370,6 +377,25 @@ def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=cwd,
         capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flag", ["--check", "--fix"])
+def test_full_device_exits_2_with_one_error_line(tmp_path, flag, unbuffered):
+    """A fresh process, so that the interpreter's own final flush is seen too;
+    buffered, the write fails at the flush, unbuffered at the write."""
+    src = tmp_path / "in.txt"
+    src.write_text(DIRTY, encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "nota.cli", "normalize", flag, str(src)],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered},
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr.startswith("nota: error: cannot write output: ")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("module", ["nota", "nota.cli"])

@@ -75,6 +75,8 @@ def test_default_and_readme_fused_prepositions_load():
     {"فال": "في ال "},
     {"": "في ال"},
     {"فال": "في ً"},
+    {"فال": "فالدار ال"},  # a word of the value begins with its own key
+    {"فال": "في ال", "في": "ف ي"},  # or with another key of the map
 ])
 def test_bad_fused_prepositions_rejected(table):
     with pytest.raises(ConfigError, match="fused_prepositions"):

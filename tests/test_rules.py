@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nota.pipeline
+import nota.rules
 import rules_oracle
 from gen import (
     DIRTY_WORDS,
@@ -20,6 +22,7 @@ from gen import (
     wide_text,
 )
 from nota.lexicon import Lexicon, VerbEntry, default_lexicon
+from nota.pipeline import Mode, normalize
 from nota.rules import (
     _RULES,
     _WORD_MEMO_CAP,
@@ -449,6 +452,34 @@ def test_rule_memo_stays_within_cap():
     for _ in range(2):
         assert run_rules(tokens, lexicon) == expected
         assert sum(len(memo) for memo in lexicon._rule_memo.values()) <= _WORD_MEMO_CAP
+
+
+def test_rules_run_once_per_distinct_word(monkeypatch):
+    """However often a word recurs, its rules run once per memo, clean or
+    not: in ``run_rules`` and in the fix loop's re-lint of the words next
+    to each fix.  Outputs alone cannot show this: a clean word's memo
+    entry taken for a miss would re-run its rules on every occurrence and
+    find the same nothing."""
+    seen: list[str] = []
+    remember = nota.rules._remember
+
+    def counted(text, *args):
+        seen.append(text)
+        return remember(text, *args)
+
+    def words(text):
+        return {t.text for t in tokenize(text) if t.kind is TokenKind.WORD}
+
+    monkeypatch.setattr(nota.rules, "_remember", counted)
+    monkeypatch.setattr(nota.pipeline, "_remember", counted)
+    # A fix on each line, between clean words.
+    text = "اَلدار قدام الحومة ما نمشي\n" * 20
+    run_rules(tokenize(text), default_lexicon())
+    assert sorted(seen) == sorted(words(text))
+    seen.clear()
+    result = normalize(text, default_lexicon(), mode=Mode.FIX)
+    assert len(result.fixes) == 20
+    assert sorted(seen) == sorted(words(text) | words(result.output))
 
 
 def test_rule_memo_follows_lexicon_and_config(lex):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
@@ -12,8 +13,8 @@ import tokenize_oracle
 from gen import HOSTILE_DOCS, lexicon_word_pool, random_text, wide_text
 from nota.lexicon import default_lexicon
 from nota.rules import windows
-from nota.script import skeleton
-from nota.tokenize import TokenKind, split_words, tokenize
+from nota.script import WORD_CHARS, skeleton
+from nota.tokenize import _SPACE_CHARS, TokenKind, split_words, tokenize
 
 any_text = st.text(max_size=80)
 mixed_text = st.text(
@@ -92,6 +93,26 @@ def test_tokens_and_windows_match_oracles_on_every_code_point():
     tokens = tokenize(text)
     assert tokens == tokenize_oracle.tokenize(text)
     assert windows(tokens) == rules_oracle.windows(tokens)
+
+
+def test_space_table_is_str_isspace():
+    assert set(_SPACE_CHARS) == {ch for ch in map(chr, range(0x110000)) if ch.isspace()}
+
+
+def test_tokenize_keeps_no_per_character_state():
+    """Tokenizing every code point, surrogates included, each at the start
+    of a run, leaves almost no memory block allocated once the results are
+    dropped: no table grows with the characters it has seen.  Blocks are
+    counted rather than traced, since tracemalloc slows each of the
+    millions of allocations here several times over."""
+    # A word character follows a full stop, any other character a word
+    # character, so each starts a run; in slices, to keep the token lists small.
+    text = "".join(("." if ch in WORD_CHARS else "ب") + ch for ch in map(chr, range(0x110000)))
+    tokenize(text[:100])  # so that nothing allocated once, on a first call, counts
+    before = sys.getallocatedblocks()
+    for i in range(0, len(text), 1 << 14):
+        tokenize(text[i : i + (1 << 14)])
+    assert sys.getallocatedblocks() - before < 1000
 
 
 @given(st.one_of(st.text(), mixed_text, wide_text))
