@@ -46,6 +46,23 @@ def _write(text: str) -> None:
         raise _OutputError(exc) from exc
 
 
+def _flush() -> None:
+    """Flush standard output; what stops it raises ``_OutputError``."""
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints help through ``_write``, flushed before argparse exits, so that
+    a failed write is reported as any other; usage errors go to stderr."""
+
+    def print_help(self, file: None = None) -> None:
+        _write(self.format_help())
+        _flush()
+
+
 def _read_input(name: str) -> tuple[str, str]:
     """Read a file, or standard input for ``-``, as strict UTF-8."""
     display = "<stdin>" if name == "-" else name
@@ -207,7 +224,7 @@ def _cmd_romanize(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nota",
         description="Normalize, lint and fix Tunisian Arabic text (NOTA orthography).",
     )
@@ -261,14 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            raise _OutputError(exc) from exc
+        _flush()
         return code
     except (CliError, ConfigError, LexiconError, PassCapExceededError) as exc:
         print(f"nota: error: {exc}", file=sys.stderr)

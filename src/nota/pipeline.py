@@ -7,21 +7,23 @@ fixpoint of the enabled rules.  Diagnostics always carry spans into the
 original input; the applied rewrites are recorded in a fix trace.
 
 Only the first pass tokenizes and lints the whole text.  Every finding
-lies inside one word, so a pass rewrites words and nothing between them,
-and a rule reads at most its word and the word next to it, across spaces,
-on either side.  So a rewrite changes the windows of the words it made (an
-R-SEP split gives two, a deleted lone mark none) and of the unchanged word
-across spaces on either side of them.  The loop re-lints exactly those
-words, each once per pass, with every enabled rule, through the rule memo
-(Wagner & Graham, "Efficient and Flexible Incremental Parsing", TOPLAS
-1998).  That suffices because the fix choice is maximal: each fixable
-finding of a pass overlaps a chosen fix, so a word the pass did not
-rewrite, in a window that did not change, holds no fixable finding.
+lies inside one word, so findings of two words never overlap, and a pass
+chooses each word's fixes among its own findings, as the greedy choice
+over the whole text would.  A pass rewrites words and nothing between
+them, and a rule reads at most its word and the word next to it, across
+spaces, on either side; so a pass can change only the windows of the
+words it made (an R-SEP split gives two, a deleted lone mark none) and
+of the word on either side of each rewritten one.  The loop re-lints
+those, each once per pass, with every enabled rule, through the rule
+memo (Wagner & Graham, "Efficient and Flexible Incremental Parsing",
+TOPLAS 1998).  That suffices because the choice is maximal: each
+fixable finding of a pass overlaps a chosen fix, so a word the pass did
+not rewrite, in a window that did not change, holds no fixable finding.
 
 The loop keeps the text as ``split_words`` gives it, ``[gap, word, gap,
-…, word, gap]``.  A pass bisects the part ends to find each fix's word,
-and puts the split of what the word became in its place, the split's
-edge gaps joining the gaps beside it.
+…, word, gap]``.  A pass bisects the part ends to find each word that
+holds a finding, and puts the split of what the word became in its
+place, the split's edge gaps joining the gaps beside it.
 """
 
 from __future__ import annotations
@@ -138,25 +140,23 @@ def normalize(
         return RunResult(output=text, diagnostics=reported, fixes=(), passes_used=1)
 
     fixes: list[FixEvent] = []
-    passes = 0
+    passes = 1
     rules = _RuleSet(lex, config.rules, config.fused_prepositions)
     splits: dict[str, tuple[str, ...]] = {}  # the split of each text a word became
     pending = [d for d in first_pass if _fixable(d)]
     parts = split_words(canon.text) if pending else []
     ends = list(accumulate(map(len, parts)))
-    while True:
-        passes += 1
-        if not pending:
-            break
+    while pending:
         if passes > config.max_passes:
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
-        chosen = sorted(_select_nonoverlapping(pending), key=_START)
-        parts, ends, pending = _rewrite(parts, ends, chosen, lex, rules, splits)
+        parts, ends, jobs, chosen = _rewrite(parts, ends, pending, splits)
+        pending = _relint(parts, ends, jobs, lex, rules)
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
         )
+        passes += 1
 
     return RunResult(
         output="".join(parts) if fixes else canon.text,
@@ -167,32 +167,33 @@ def normalize(
 
 
 def _rewrite(
-    parts: list[str],
-    ends: list[int],
-    chosen: list[Diagnostic],
-    lex: Lexicon,
-    rules: _RuleSet,
-    splits: dict[str, tuple[str, ...]],
-) -> tuple[list[str], list[int], list[Diagnostic]]:
-    """Apply ``chosen``, sorted and each in one word of ``parts`` (which end
-    at ``ends``); return the new parts, their ends, and the fixable findings
-    of the new words and of the unchanged words beside them."""
+    parts: list[str], ends: list[int], pending: list[Diagnostic], splits: dict[str, tuple[str, ...]]
+) -> tuple[list[str], list[int], list[int], list[Diagnostic]]:
+    """Rewrite each word of ``parts`` (which end at ``ends``) that holds
+    findings of ``pending``, grouped by word in ascending word order, with
+    the fixes chosen among them.  Return the new parts, their ends, the
+    index of each word made and of the word on either side of each
+    rewritten one, ascending and once, and the fixes chosen, by start."""
     out = [""]
     # The pieces that join the open gap out[-1] once a word closes it; joined
     # once, so that a chain of deleted words stays linear.
     more: list[str] = []
-    # Each word whose window changed, by index in ``out``, once.
     jobs: list[int] = []
+    chosen: list[Diagnostic] = []
     copied = i = 0
-    while i < len(chosen):
-        k = bisect_right(ends, chosen[i].start, copied)
+    while i < len(pending):
+        k = bisect_right(ends, pending[i].start, copied)
         start, word = ends[k - 1], parts[k]
+        j = bisect_left(pending, ends[k], i + 1, key=_START)  # past the word's findings
+        picks = pending[i:j]
+        if j > i + 1:
+            picks = sorted(_select_nonoverlapping(picks), key=_START)
         new, cut = "", 0
-        while i < len(chosen) and (d := chosen[i]).start < ends[k]:
+        for d in picks:
             new += word[cut : d.start - start] + d.replacement
             cut = d.end - start
-            i += 1
         new += word[cut:]
+        chosen += picks
         sub = splits.get(new)
         if sub is None:
             sub = splits[new] = tuple(split_words(new))
@@ -206,27 +207,25 @@ def _rewrite(
                     out[-1] += "".join(more)
                     more = []
                 out += run[1:]
-        at = len(out) - len(sub)  # the index of the gap before the word
-        # The new words, with the unchanged word across spaces on either
-        # side: the one before unless it was rewritten too or is taken
-        # already as the one after the previous fix's word, and the one
-        # after unless the next fix is in it.
-        lo, hi = at + 1, len(out)
-        if copied < k - 1 and parts[k - 1].isspace() and at - 1 not in jobs[-1:]:
-            lo = at - 1
-        if k + 2 < len(parts) and parts[k + 1].isspace():
-            if i == len(chosen) or chosen[i].start >= ends[k + 2]:
-                hi += 2
-        jobs += range(lo, hi, 2)
-        copied = k + 1
+        # The words made, and the word either side: out[-1] is the gap before the next.
+        jobs += range(len(out) - len(sub) - 1, len(out) + 1, 2)
+        copied, i = k + 1, j
     out[-1] += "".join(more) + parts[copied]
     out += parts[copied + 1 :]
-    ends = list(accumulate(map(len, out)))
+    jobs = list(dict.fromkeys(n for n in jobs if 0 < n < len(out)))
+    return out, list(accumulate(map(len, out))), jobs, chosen
+
+
+def _relint(
+    parts: list[str], ends: list[int], jobs: list[int], lex: Lexicon, rules: _RuleSet
+) -> list[Diagnostic]:
+    """The fixable findings of each word ``parts[i]``, ``i`` in ``jobs``,
+    in that order, a word's findings together."""
     found: list[Diagnostic] = []
     for i in jobs:
-        entry = rules.memo.get(out[i])
+        entry = rules.memo.get(parts[i])
         if entry is None:
-            entry = _remember(out[i], lex, rules)
+            entry = _remember(parts[i], lex, rules)
         if not entry:  # a clean word
             continue
         word_found, gated = entry
@@ -239,11 +238,11 @@ def _rewrite(
             ]
         if gated:  # the neighbour either side is two parts away, across spaces only
             prev = nxt = None
-            if i > 1 and out[i - 1].isspace():
-                prev = Token(TokenKind.WORD, out[i - 2], ends[i - 3], ends[i - 2])
-            if i + 2 < len(out) and out[i + 1].isspace():
-                nxt = Token(TokenKind.WORD, out[i + 2], ends[i + 1], ends[i + 2])
-            window = RuleWindow(Token(TokenKind.WORD, out[i], ends[i - 1], ends[i]), prev, nxt)
+            if i > 1 and parts[i - 1].isspace():
+                prev = Token(TokenKind.WORD, parts[i - 2], ends[i - 3], ends[i - 2])
+            if i + 2 < len(parts) and parts[i + 1].isspace():
+                nxt = Token(TokenKind.WORD, parts[i + 2], ends[i + 1], ends[i + 2])
+            window = RuleWindow(Token(TokenKind.WORD, parts[i], ends[i - 1], ends[i]), prev, nxt)
             for rule in gated:
                 found += filter(_fixable, rule.body(window, lex, rules.fused))
-    return out, ends, found
+    return found

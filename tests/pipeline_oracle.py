@@ -4,8 +4,10 @@ each fix.
 Kept as the oracle for ``nota.pipeline.normalize``: every pass after
 the first re-tokenizes and re-lints the whole rewritten text.  The code
 is the implementation it replaced, except that it calls
-``validate_setup`` first, which ``_lint`` no longer does, and re-lints
-through ``tokenize`` and ``run_rules`` itself.
+``validate_setup`` first, which ``_lint`` no longer does, re-lints
+through ``tokenize`` and ``run_rules`` itself, and chooses each pass's
+fixes over the whole text with the all-pairs greedy of ``rules_oracle``,
+so that it shares no fix-choice code with the program.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from nota.pipeline import (
     RunResult,
     _fixable,
     _lint,
-    _select_nonoverlapping,
     validate_setup,
 )
 from nota.rules import Diagnostic, run_rules
 from nota.tokenize import tokenize
+
+from rules_oracle import select_nonoverlapping
 
 
 def normalize(
@@ -57,7 +60,7 @@ def normalize(
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
-        chosen = sorted(_select_nonoverlapping(applicable), key=lambda d: d.start)
+        chosen = sorted(select_nonoverlapping(applicable), key=lambda d: d.start)
         pieces = []
         pos = 0
         for d in chosen:

@@ -381,15 +381,20 @@ def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("flag", ["--check", "--fix"])
-def test_full_device_exits_2_with_one_error_line(tmp_path, flag, unbuffered):
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--check", "{src}"],
+    ["normalize", "--fix", "{src}"],
+    ["--help"],
+    ["normalize", "-h"],
+], ids=["--check", "--fix", "--help", "normalize -h"])
+def test_full_device_exits_2_with_one_error_line(tmp_path, argv, unbuffered):
     """A fresh process, so that the interpreter's own final flush is seen too;
     buffered, the write fails at the flush, unbuffered at the write."""
     src = tmp_path / "in.txt"
     src.write_text(DIRTY, encoding="utf-8")
     with open("/dev/full", "w") as full:
         done = subprocess.run(
-            [sys.executable, "-m", "nota.cli", "normalize", flag, str(src)],
+            [sys.executable, "-m", "nota.cli", *(a.format(src=src) for a in argv)],
             env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered},
             stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
         )

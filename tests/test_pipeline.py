@@ -411,14 +411,13 @@ def test_fix_loop_lints_each_word_once_per_pass(monkeypatch):
     re-linted once: its R-FUT finding comes back from the pass once."""
     text = "اَلدار باش يگول"
     returned = []
-    rewrite = nota.pipeline._rewrite
+    relint = nota.pipeline._relint
 
     def recording(*args):
-        result = rewrite(*args)
-        returned.append(result[2])
-        return result
+        returned.append(relint(*args))
+        return returned[-1]
 
-    monkeypatch.setattr(nota.pipeline, "_rewrite", recording)
+    monkeypatch.setattr(nota.pipeline, "_relint", recording)
     result = _run(text, GAF_VERB_LEXICON, Config())
     assert [f.rule for f in result.fixes if f.pass_index == 1] == ["R-CONS", "R-ART"]
     assert [(d.rule, d.start) for d in returned[0]] == [("R-FUT", 6)]
@@ -516,8 +515,8 @@ def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, pl
     pieces = [w + g for w, g in zip(words, gaps)]
     pieces.insert(min(place, len(pieces)), wide)
     text = "".join(pieces)
-    seen: list = []  # the windows the context rules got; None where a pass chose its fixes
-    select = nota.pipeline._select_nonoverlapping
+    seen: list = []  # the windows the context rules got; None where a pass rewrote the text
+    rewrite = nota.pipeline._rewrite
 
     def recording(rule):
         def run(window, lex, fused):
@@ -525,14 +524,14 @@ def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, pl
             return rule(window, lex, fused)
         return run
 
-    def marked(diags):
+    def marked(*args):
         seen.append(None)
-        return select(diags)
+        return rewrite(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         _patch_body(mp, "R-PRON", recording(_warning_pron))
         _patch_body(mp, "R-FUT", recording(nota.rules.rule_fut))
-        mp.setattr(nota.pipeline, "_select_nonoverlapping", marked)
+        mp.setattr(nota.pipeline, "_rewrite", marked)
         result = normalize(text, _split_lexicon(), Config(fused_prepositions=fused), Mode.FIX)
     texts = [canonicalize(text).text]
     for index in range(1, result.passes_used):
@@ -562,3 +561,35 @@ def test_normalize_linear_on_hostile_sizes(name, mode):
     start = time.perf_counter()
     normalize(HOSTILE_DOCS[name], lexicon, mode=mode)
     assert time.perf_counter() - start < 5.0
+
+
+# Words that carry two fixable findings each (كتابٌ one), and clean words.
+CHOICE_WORDS = ["اَلدارٌ", "گاوريٌ", "بِاتٌ", "كتابٌ", "بش", "نمشي", "في", "الدار"]
+
+
+def test_fix_choice_grows_linearly(monkeypatch, lex):
+    """The time spent choosing fixes in FIX, best of 3, grows about as the
+    text does: 16 times the lines may take at most 32 times as long.  A
+    choice over the whole text that inserts each fix into one sorted list
+    takes about 57 times as long here."""
+    select = nota.pipeline._select_nonoverlapping
+    spent = [0.0]
+
+    def timed(diags):
+        start = time.perf_counter()
+        chosen = select(diags)
+        spent[0] += time.perf_counter() - start
+        return chosen
+
+    monkeypatch.setattr(nota.pipeline, "_select_nonoverlapping", timed)
+    best = []
+    for lines in (1000, 16000):
+        rng = random.Random(0)
+        text = "".join(" ".join(rng.choices(CHOICE_WORDS, k=4)) + "\n" for _ in range(lines))
+        times = []
+        for _ in range(3):
+            spent[0] = 0.0
+            normalize(text, lex, mode=Mode.FIX)
+            times.append(spent[0])
+        best.append(min(times))
+    assert best[1] <= 32 * best[0], best
