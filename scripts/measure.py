@@ -5,13 +5,15 @@ For each --lines N the document is N lines drawn (seed 0) from the
 sentences of make_synthetic_corpus.py, most of which carry a fixable
 finding.  A fresh lexicon is loaded for each size, and one CHECK run
 made right after it is traced: its tracemalloc peak is the memory
-figure.  Then each mode runs three times untraced; the best time
-counts.  Last, CHECK runs on three documents of the same size made of
-fresh random stems (seeds 1-3), words that miss the rule memo; the best
+figure.  Then each mode runs three times untraced, and so does
+``canonicalize`` alone, the first layer of both; the best time counts.
+Last, CHECK runs on three documents of the same size made of fresh
+random stems (seeds 1-3), words that miss the rule memo; the best
 time counts.  Prints one row per size: chars, CHECK and FIX seconds,
 FIX minus CHECK (the fix loop's own time, since FIX first lints as
 CHECK does), FIX over CHECK, check throughput, check throughput on fresh
-stems and peak bytes per input character:
+stems, peak bytes per input character and the seconds of
+``canonicalize``:
 
     python scripts/measure.py --lines 1000 10000 100000
 
@@ -25,13 +27,15 @@ import random
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from make_synthetic_corpus import LINES  # noqa: E402
 from nota import Mode, default_lexicon, normalize  # noqa: E402
-from nota.script import LETTERS  # noqa: E402
+from nota.script import LETTERS, canonicalize  # noqa: E402
 
 RUNS = 3
 
@@ -50,11 +54,11 @@ def fresh_stems(size: int, seed: int) -> str:
     return "".join(w + ("\n" if i % 8 == 7 else " ") for i, w in enumerate(words))[:size]
 
 
-def best_of(texts: list[str], lex, mode: Mode) -> float:
+def best_of(run: Callable[[str], object], texts: list[str]) -> float:
     times = []
     for text in texts:
         start = time.perf_counter()
-        normalize(text, lex, mode=mode)
+        run(text)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -76,19 +80,22 @@ def main() -> int:
     print(
         f"{'lines':>8} {'chars':>9} {'check_s':>8} {'fix_s':>8} {'fix-check_s':>11}"
         f" {'fix/check':>9} {'check_Mchar/s':>13} {'fresh_Mchar/s':>13} {'peak_B/char':>11}"
+        f" {'canon_s':>8}"
     )
     for lines in args.lines:
         rng = random.Random(0)
         text = "\n".join(rng.choice(LINES) for _ in range(lines)) + "\n"
         lex = default_lexicon()
         peak = check_peak(text, lex)
-        check = best_of([text] * RUNS, lex, Mode.CHECK)
-        fix = best_of([text] * RUNS, lex, Mode.FIX)
-        fresh = best_of([fresh_stems(len(text), seed) for seed in range(1, RUNS + 1)], lex, Mode.CHECK)
+        check_run = partial(normalize, lex=lex, mode=Mode.CHECK)
+        check = best_of(check_run, [text] * RUNS)
+        fix = best_of(partial(normalize, lex=lex, mode=Mode.FIX), [text] * RUNS)
+        canon = best_of(canonicalize, [text] * RUNS)
+        fresh = best_of(check_run, [fresh_stems(len(text), seed) for seed in range(1, RUNS + 1)])
         print(
             f"{lines:>8} {len(text):>9} {check:>8.3f} {fix:>8.3f} {fix - check:>11.3f}"
             f" {fix / check:>9.2f} {len(text) / check / 1e6:>13.3f} {len(text) / fresh / 1e6:>13.3f}"
-            f" {peak / len(text):>11.1f}"
+            f" {peak / len(text):>11.1f} {canon:>8.4f}"
         )
     return 0
 

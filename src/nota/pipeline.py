@@ -4,16 +4,20 @@ Check mode never touches the text. Fix mode canonicalizes the input,
 then repeats rule passes, applying Error fixes and lexicon-backed
 Warning fixes until a pass finds nothing more to do; the result is a
 fixpoint of the enabled rules.  Diagnostics always carry spans into the
-original input; the applied rewrites are recorded in a fix trace.
+original input; the applied rewrites are recorded in a fix trace.  The
+first pass's findings, sorted by start, are mapped onto the input in one
+sweep over the runs canonicalization rewrote; a finding whose span does
+not move is reported as the same object.
 
 Only the first pass tokenizes and lints the whole text.  Every finding
 lies inside one word, so findings of two words never overlap, and a pass
 chooses each word's fixes among its own findings, as the greedy choice
-over the whole text would.  A pass rewrites words and nothing between
-them, and a rule reads at most its word and the word next to it, across
-spaces, on either side; so a pass can change only the windows of the
-words it made (an R-SEP split gives two, a deleted lone mark none) and
-of the word on either side of each rewritten one.  The loop re-lints
+over the whole text would; within a word, the greedy runs only on
+clusters of findings that overlap.  A pass rewrites words and nothing
+between them, and a rule reads at most its word and the word next to it,
+across spaces, on either side; so a pass can change only the windows of
+the words it made (an R-SEP split gives two, a deleted lone mark none)
+and of the word on either side of each rewritten one.  The loop re-lints
 those, each once per pass, with every enabled rule, through the rule
 memo (Wagner & Graham, "Efficient and Flexible Incremental Parsing",
 TOPLAS 1998).  That suffices because the choice is maximal: each
@@ -91,19 +95,38 @@ def _fixable(diag: Diagnostic) -> bool:
 
 def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
     """Greedy pick by rule priority then position; overlaps wait a pass.
+    The chosen fixes come back by start.
 
-    Two spans overlap when each starts before the other ends.  The chosen
-    spans are kept sorted by (start, end); pairwise non-overlapping, their
-    ends then never decrease, so the last one starting before a candidate's
-    end is the only one that can reach past its start.
+    Two spans overlap when each starts before the other ends.  Whether the
+    greedy takes a span depends only on the spans it overlaps, so it runs
+    apart on each cluster of spans that overlap transitively, found in one
+    sweep by start; a span alone in its cluster is taken.
     """
     chosen: list[Diagnostic] = []
-    spans: list[tuple[int, int]] = []
+    cluster: list[Diagnostic] = []
+    reach = 0  # the greatest end in the cluster
+    for d in sorted(diags, key=_START):
+        if d.start >= reach:
+            chosen += cluster if len(cluster) < 2 else _greedy(cluster)
+            cluster.clear()
+        cluster.append(d)
+        reach = max(reach, d.end)
+    chosen += cluster if len(cluster) < 2 else _greedy(cluster)
+    return chosen
+
+
+def _greedy(diags: list[Diagnostic]) -> list[Diagnostic]:
+    """The greedy choice among ``diags``, by start.
+
+    Pairwise non-overlapping, the chosen spans have ends that never
+    decrease with their starts, so the last one starting before a
+    candidate's end is the only one that can reach past its start.
+    """
+    chosen: list[Diagnostic] = []
     for d in sorted(diags, key=lambda d: (_PRIORITY_INDEX[d.rule], d.start, d.end)):
-        i = bisect_left(spans, (d.end,))
-        if i == 0 or spans[i - 1][1] <= d.start:
-            chosen.append(d)
-            spans.insert(i, (d.start, d.end))
+        i = bisect_left(chosen, d.end, key=_START)
+        if i == 0 or chosen[i - 1].end <= d.start:
+            chosen.insert(i, d)
     return chosen
 
 
@@ -121,6 +144,37 @@ def _lint(
     )
 
 
+def _to_original(canon: Canonical, found: list[Diagnostic]) -> tuple[Diagnostic, ...]:
+    """``found``, sorted by start, with each span mapped from ``canon.text``
+    onto the input, as ``nota.script.Canonical`` describes, in one forward
+    sweep over ``canon.runs``.  A finding whose span does not move is
+    reported as it is."""
+    runs = canon.runs
+    if not runs:
+        return tuple(found)
+    out: list[Diagnostic] = []
+    k = -1  # the last run that starts at or before the finding
+    following = runs[0].start  # where the run after it starts, or the text's end
+    for d in found:
+        start, end = d.start, d.end
+        while start >= following:
+            k += 1
+            following = runs[k + 1].start if k + 1 < len(runs) else len(canon.text)
+        if k >= 0:
+            run = runs[k]
+            lo = start - run.start
+            if lo < len(run.sources):
+                hi = end - run.start
+                start, end = min(run.sources[lo:hi]), max(run.source_ends[lo:hi])
+            else:
+                start += run.delta
+                end += run.delta
+            if start != d.start or end != d.end:
+                d = Diagnostic(d.rule, start, end, d.severity, d.message, d.replacement)
+        out.append(d)
+    return tuple(out)
+
+
 def normalize(
     text: str,
     lex: Lexicon,
@@ -131,10 +185,7 @@ def normalize(
     validate_setup(lex, config)
     # Not the token list: the fix loop reads the text as split_words gives it.
     canon, first_pass = _lint(text, lex, config)[::2]
-    reported = tuple(
-        Diagnostic(d.rule, *canon.to_original(d.start, d.end), d.severity, d.message, d.replacement)
-        for d in first_pass
-    )
+    reported = _to_original(canon, first_pass)
 
     if mode is not Mode.FIX:
         return RunResult(output=text, diagnostics=reported, fixes=(), passes_used=1)
@@ -185,9 +236,7 @@ def _rewrite(
         k = bisect_right(ends, pending[i].start, copied)
         start, word = ends[k - 1], parts[k]
         j = bisect_left(pending, ends[k], i + 1, key=_START)  # past the word's findings
-        picks = pending[i:j]
-        if j > i + 1:
-            picks = sorted(_select_nonoverlapping(picks), key=_START)
+        picks = pending[i:j] if j == i + 1 else _select_nonoverlapping(pending[i:j])
         new, cut = "", 0
         for d in picks:
             new += word[cut : d.start - start] + d.replacement

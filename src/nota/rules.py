@@ -4,7 +4,8 @@ Rule ids are stable public strings. Each rule is a pure function of its
 token window, the lexicon and the rule tables; replacements converge:
 re-running a rule on its own replacement yields nothing. Every finding
 is a non-empty span inside one word token, so it holds no whitespace;
-``Canonical.to_original`` and ``corpus.file_stats`` rely on that.
+the map of findings back to the input in ``nota.pipeline`` and
+``corpus.file_stats`` rely on that.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. ``run_rules`` runs
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 from functools import partial
 from itertools import compress, count, repeat
-from operator import is_, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 from .lexicon import Lexicon
@@ -521,5 +522,5 @@ def run_rules(
                 out.extend(rule.body(window, lex, fused))
     # Each rule's findings lie inside its window's word, so this order does
     # not depend on the order the rules ran in.
-    out.sort(key=lambda d: (d.start, d.rule))
+    out.sort(key=attrgetter("start", "rule"))
     return out

@@ -7,21 +7,21 @@ here is table-driven and pure: classification is a total function over
 code points, and canonicalization maps arbitrary Arabic-script input to
 one deterministic byte form (presentation forms folded, tatweel dropped,
 hamza/madda pairs composed, Shadda first inside each mark run).  The
-result maps its offsets back onto the input; it keeps a source span per
+result keeps what maps its offsets back onto the input: a source span per
 character only for the whitespace-delimited runs it rewrote, since every
 other character is copied as it is.
 
 The per-character tables are frozensets built once at import;
 ``char_class`` turns one into a regex class of code-point ranges, so the
 tokenizer and ``canonicalize`` scan text with compiled regexes, not a
-Python loop over its characters.
+Python loop over its characters; only the runs ``canonicalize`` rewrites
+are walked in Python.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
 from functools import lru_cache
@@ -237,38 +237,28 @@ class Canonical:
     """Canonicalized text plus a map back to original offsets.
 
     Only the rewritten runs keep a source span per character; a copied
-    character maps by the ``delta`` of the run before it, or by 0.
+    character maps by the ``delta`` of the run before it, or by 0.  Each
+    rewritten run ends at whitespace or at the end of the text, so a
+    non-empty, whitespace-free span lies in the run that holds its start
+    or in the copied text after it, and maps to the least start and the
+    greatest end of its characters' source spans (``nota.pipeline`` sweeps
+    its findings through ``runs`` in order).
     """
 
     text: str
     runs: tuple[_Run, ...]
 
-    def to_original(self, start: int, end: int) -> tuple[int, int]:
-        """Map a non-empty, whitespace-free span, as every finding is (see
-        ``nota.rules``), to the least start and the greatest end of its
-        characters' source spans.
 
-        Each rewritten run ends at whitespace or at the end of the text, so
-        the span lies in the run that holds its start or in the copied text
-        after it.  In a run a Shadda moves ahead of the marks typed before it.
-        """
-        k = bisect_right(self.runs, start, key=attrgetter("start")) - 1
-        if k < 0:
-            return (start, end)
-        run = self.runs[k]
-        if start >= run.start + len(run.sources):
-            return (start + run.delta, end + run.delta)
-        lo, hi = start - run.start, end - run.start
-        return (min(run.sources[lo:hi]), max(run.source_ends[lo:hi]))
-
-
-# A whitespace-delimited run up to its first rewrite trigger (listed in
-# canonicalize).  The match may start only after whitespace, so each run
-# is scanned once; unanchored, a long run without whitespace would be
-# rescanned from each of its positions, in quadratic time.
-_REWRITTEN = char_class(_PRESENTATION_FORMS | {TATWEEL, "\u0653", "\u0654", "\u0655"})
-_MARKS_BUT_SHADDA = char_class(ARABIC_MARKS - {SHADDA})
-_NEEDS_REWRITE = re.compile(rf"(?<!\S)\S*?(?:[{_REWRITTEN}]|[{_MARKS_BUT_SHADDA}]\u0651)")
+# The first character of every rewrite trigger (listed in canonicalize):
+# the scan opens with this class, so ``re`` skips to a candidate in C.  A
+# candidate is a trigger if a Shadda follows it or it is itself rewritten:
+# tatweel, a combining madda or hamza, or a presentation form.  Those are
+# tested as two classes of at most two ranges each, which compile to range
+# tests where one class of them all would compile to a bitmap of the BMP.
+_TRIGGER_FIRST = char_class(_PRESENTATION_FORMS | {TATWEEL} | (ARABIC_MARKS - {SHADDA}))
+_TRIGGER = re.compile(
+    rf"[{_TRIGGER_FIRST}](?:\u0651|(?<=[\u0640\u0653-\u0655])|(?<=[\ufb50-\ufdff\ufe70-\ufeff]))"
+)
 _RUN_END = re.compile(r"\s|\Z")
 
 
@@ -279,16 +269,21 @@ def canonicalize(text: str) -> Canonical:
     pair composes with it and it ends every mark run.  So each
     whitespace-delimited run is folded on its own.  A run is copied as it
     is unless it holds a trigger: a presentation form, tatweel, a
-    combining madda or hamza (U+0653..U+0655), or a Shadda right after an
-    Arabic mark other than Shadda.  Runs with a trigger go through
-    ``_canonicalize_slow``.
+    combining madda or hamza (U+0653..U+0655), or an Arabic mark other
+    than Shadda right before a Shadda.  The scan finds the next trigger
+    with ``_TRIGGER``, steps back to the start of its run (never past the
+    end of the run rewritten before), and hands the run to
+    ``_canonicalize_slow``; the text between runs is copied.  Each
+    character is scanned once and stepped back over at most once.
     Idempotent: canonicalize(canonicalize(x).text).text == canonicalize(x).text.
     """
     out: list[str] = []
     runs: list[_Run] = []
     pos = delta = 0
-    while (m := _NEEDS_REWRITE.search(text, pos)) is not None:
+    while (m := _TRIGGER.search(text, pos)) is not None:
         start = m.start()
+        while start > pos and not text[start - 1].isspace():
+            start -= 1
         end = _RUN_END.search(text, m.end()).start()
         out.append(text[pos:start])
         run_chars, sources, source_ends = _canonicalize_slow(text[start:end], start)

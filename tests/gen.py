@@ -78,6 +78,7 @@ HOSTILE_DOCS = {
     "no whitespace, a fused preposition repeated": ("فالدار" * HOSTILE_SIZE)[:HOSTILE_SIZE],
     "no whitespace, a fix in every cluster": ("بٌ" * HOSTILE_SIZE)[:HOSTILE_SIZE],
     "lone marks between spaces": ("ً " * HOSTILE_SIZE)[:HOSTILE_SIZE],
+    "no whitespace, one trigger at the end": ("كتاب" * HOSTILE_SIZE)[: HOSTILE_SIZE - 1] + TATWEEL,
 }
 
 

@@ -7,7 +7,8 @@ is the implementation it replaced, except that it calls
 ``validate_setup`` first, which ``_lint`` no longer does, re-lints
 through ``tokenize`` and ``run_rules`` itself, and chooses each pass's
 fixes over the whole text with the all-pairs greedy of ``rules_oracle``,
-so that it shares no fix-choice code with the program.
+so that it shares no fix-choice code with the program, and maps each
+finding to the input alone with ``script_oracle.to_original``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from nota.rules import Diagnostic, run_rules
 from nota.tokenize import tokenize
 
 from rules_oracle import select_nonoverlapping
+from script_oracle import to_original
 
 
 def normalize(
@@ -40,7 +42,7 @@ def normalize(
     canon, _, first_pass = _lint(text, lex, config)
     reported = []
     for d in first_pass:
-        start, end = canon.to_original(d.start, d.end)
+        start, end = to_original(canon, d.start, d.end)
         reported.append(Diagnostic(d.rule, start, end, d.severity, d.message, d.replacement))
     reported = tuple(reported)
 

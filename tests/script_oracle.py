@@ -9,18 +9,28 @@ so ``اـٓ`` canonicalized to ``ا``+``ٓ`` and only a second run composed it).
 the runs it rewrote: one source span per output character.
 ``canonicalize_by_runs`` is the loop that built it, which copies the
 runs it need not rewrite; it is unchanged except that it zips the start
-and end lists ``_canonicalize_slow`` now returns into spans.
+and end lists ``_canonicalize_slow`` now returns into spans.  It finds
+each run with ``_NEEDS_REWRITE``, the lazy match from the start of a run
+to its first trigger that nota.script ran before it scanned for the
+triggers alone.  ``to_original`` is the per-span map of nota.script's
+``Canonical``, one bisect per span, that nota.pipeline ran before it
+swept the sorted findings in one pass.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
+from nota import script
 from nota.script import (
     _COMPOSE_PAIRS,
-    _NEEDS_REWRITE,
+    _PRESENTATION_FORMS,
     _RUN_END,
+    ARABIC_MARKS,
     LETTER_SET,
     NOTA_MARKS,
     SHADDA,
@@ -29,6 +39,7 @@ from nota.script import (
     VOWEL_MARKS,
     CharClass,
     _canonicalize_slow,
+    char_class,
 )
 
 _ARABIC_RANGES = (
@@ -150,6 +161,32 @@ def canonicalize(text: str) -> Canonical:
     flush()
 
     return Canonical("".join(ch for ch, _, _ in out), tuple((s, e) for _, s, e in out))
+
+
+# A whitespace-delimited run up to its first rewrite trigger.  The match may
+# start only after whitespace, so each run is scanned once.
+_REWRITTEN = char_class(_PRESENTATION_FORMS | {TATWEEL, "\u0653", "\u0654", "\u0655"})
+_MARKS_BUT_SHADDA = char_class(ARABIC_MARKS - {SHADDA})
+_NEEDS_REWRITE = re.compile(rf"(?<!\S)\S*?(?:[{_REWRITTEN}]|[{_MARKS_BUT_SHADDA}]\u0651)")
+
+
+def to_original(canon: script.Canonical, start: int, end: int) -> tuple[int, int]:
+    """Map a non-empty, whitespace-free span of ``canon.text``, as every
+    finding is, to the least start and the greatest end of its characters'
+    source spans.
+
+    Each rewritten run ends at whitespace or at the end of the text, so the
+    span lies in the run that holds its start or in the copied text after
+    it.  In a run a Shadda moves ahead of the marks typed before it.
+    """
+    k = bisect_right(canon.runs, start, key=attrgetter("start")) - 1
+    if k < 0:
+        return (start, end)
+    run = canon.runs[k]
+    if start >= run.start + len(run.sources):
+        return (start + run.delta, end + run.delta)
+    lo, hi = start - run.start, end - run.start
+    return (min(run.sources[lo:hi]), max(run.source_ends[lo:hi]))
 
 
 def canonicalize_by_runs(text: str) -> Canonical:

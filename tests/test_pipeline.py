@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -216,7 +217,10 @@ candidate_fixes = st.lists(
 @given(candidate_fixes)
 def test_select_nonoverlapping_matches_oracle(diags):
     chosen = _select_nonoverlapping(diags)
-    assert chosen == rules_oracle.select_nonoverlapping(diags)
+    # The oracle lists its choice by priority, the program by start.
+    assert [d.start for d in chosen] == sorted(d.start for d in chosen)
+    by_span = attrgetter("start", "end", "rule")
+    assert sorted(chosen, key=by_span) == sorted(rules_oracle.select_nonoverlapping(diags), key=by_span)
     # The choice is maximal: the fix loop re-lints only around the chosen
     # fixes, and relies on every finding left out overlapping one of them.
     for d in diags:
@@ -567,11 +571,10 @@ def test_normalize_linear_on_hostile_sizes(name, mode):
 CHOICE_WORDS = ["اَلدارٌ", "گاوريٌ", "بِاتٌ", "كتابٌ", "بش", "نمشي", "في", "الدار"]
 
 
-def test_fix_choice_grows_linearly(monkeypatch, lex):
-    """The time spent choosing fixes in FIX, best of 3, grows about as the
-    text does: 16 times the lines may take at most 32 times as long.  A
-    choice over the whole text that inserts each fix into one sorted list
-    takes about 57 times as long here."""
+def _choice_seconds(monkeypatch, lex, small: str, large: str) -> list[float]:
+    """The time spent choosing fixes in FIX on ``small`` and on ``large``,
+    best of 3.  The runs alternate, so that a change in the host's speed
+    weighs on both sizes alike."""
     select = nota.pipeline._select_nonoverlapping
     spent = [0.0]
 
@@ -582,14 +585,33 @@ def test_fix_choice_grows_linearly(monkeypatch, lex):
         return chosen
 
     monkeypatch.setattr(nota.pipeline, "_select_nonoverlapping", timed)
-    best = []
-    for lines in (1000, 16000):
-        rng = random.Random(0)
-        text = "".join(" ".join(rng.choices(CHOICE_WORDS, k=4)) + "\n" for _ in range(lines))
-        times = []
-        for _ in range(3):
+    best = [float("inf")] * 2
+    for _ in range(3):
+        for k, text in enumerate((small, large)):
             spent[0] = 0.0
             normalize(text, lex, mode=Mode.FIX)
-            times.append(spent[0])
-        best.append(min(times))
+            best[k] = min(best[k], spent[0])
+    return best
+
+
+def _choice_lines(lines: int) -> str:
+    rng = random.Random(0)
+    return "".join(" ".join(rng.choices(CHOICE_WORDS, k=4)) + "\n" for _ in range(lines))
+
+
+def test_fix_choice_grows_linearly(monkeypatch, lex):
+    """The time spent choosing fixes in FIX, best of 3, grows about as the
+    text does: 16 times the lines may take at most 32 times as long.  A
+    choice over the whole text that inserts each fix into one sorted list
+    takes about 57 times as long here."""
+    best = _choice_seconds(monkeypatch, lex, _choice_lines(1000), _choice_lines(16000))
+    assert best[1] <= 32 * best[0], best
+
+
+def test_fix_choice_grows_linearly_in_one_word(monkeypatch, lex):
+    """One word with an R-CONS and an R-VOW fix in every cluster, none
+    overlapping: 16 times the clusters may take at most 32 times as long.
+    A choice that inserts each of the word's fixes into one sorted list
+    takes about 70 times as long here."""
+    best = _choice_seconds(monkeypatch, lex, "گٌ" * 2500, "گٌ" * 40000)
     assert best[1] <= 32 * best[0], best

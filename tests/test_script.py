@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import script_oracle
 from gen import HOSTILE_DOCS, wide_text
+from nota.pipeline import _to_original
+from nota.rules import Diagnostic, Severity
 from nota.script import (
     _PRESENTATION_FORMS,
     ALEF,
@@ -120,7 +122,7 @@ def test_canonicalize_strips_tatweel_and_orders_marks():
 def test_canonicalize_span_mapping():
     canon = canonicalize("x" + TATWEEL + "ب")
     assert canon.text == "xب"
-    assert canon.to_original(1, 2) == (2, 3)
+    assert script_oracle.to_original(canon, 1, 2) == (2, 3)
 
 
 def test_canonicalize_drops_tatweel_before_composing():
@@ -159,9 +161,10 @@ CANON_ALPHABET = (
 
 
 def _char_spans(canon) -> list[tuple[int, int]]:
-    """The source span ``canon`` maps each of its characters to."""
-    n = len(canon.text)
-    return list(map(canon.to_original, range(n), range(1, n + 1)))
+    """The source span ``canon`` maps each of its characters to, through the
+    pipeline's sweep."""
+    chars = [Diagnostic("R-VOW", i, i + 1, Severity.ERROR, "", None) for i in range(len(canon.text))]
+    return [(d.start, d.end) for d in _to_original(canon, chars)]
 
 
 def _assert_maps_like(canon, dense, what) -> None:
@@ -181,16 +184,46 @@ ligature_soup = st.text(
 )
 
 
+def _findings(text: str) -> list[tuple[int, int]]:
+    """Every non-empty, whitespace-free span of ``text``: what a finding
+    can be."""
+    spans = []
+    for i in range(len(text)):
+        for j in range(i + 1, len(text) + 1):
+            if text[j - 1].isspace():
+                break
+            spans.append((i, j))
+    return spans
+
+
 @given(st.one_of(wide_text, arabic_soup, ligature_soup))
 def test_to_original_matches_dense_oracle_on_every_span(text):
-    """Every non-empty, whitespace-free span: what a finding can be."""
     canon, dense = canonicalize(text), script_oracle.canonicalize(text)
     assert canon.text == dense.text
-    for i in range(len(canon.text)):
-        for j in range(i + 1, len(canon.text) + 1):
-            if canon.text[j - 1].isspace():
-                break
-            assert canon.to_original(i, j) == dense.to_original(i, j), (ascii(text), i, j)
+    for i, j in _findings(canon.text):
+        assert script_oracle.to_original(canon, i, j) == dense.to_original(i, j), (ascii(text), i, j)
+
+
+@given(st.data(), st.one_of(wide_text, arabic_soup, ligature_soup))
+def test_sweep_matches_per_span_oracle(data, text):
+    """The pipeline's one sweep maps findings sorted by start, equal starts
+    with ends in any order, as the per-span oracle maps each: every
+    non-empty, whitespace-free span at once, and a sample of them with
+    repeats.  A finding whose span does not move comes back as the same
+    object."""
+    canon = canonicalize(text)
+    spans = _findings(canon.text)
+    picked = data.draw(st.lists(st.sampled_from(spans), max_size=30)) if spans else []
+    picked.sort(key=lambda span: span[0])
+    for group in (spans, picked):
+        found = [Diagnostic("R-VOW", i, j, Severity.ERROR, "m", "r") for i, j in group]
+        mapped = _to_original(canon, found)
+        assert [(d.start, d.end) for d in mapped] == [
+            script_oracle.to_original(canon, i, j) for i, j in group
+        ], ascii(text)
+        for d, m in zip(found, mapped):
+            assert (m is d) == ((m.start, m.end) == (d.start, d.end))
+            assert (m.rule, m.severity, m.message, m.replacement) == ("R-VOW", Severity.ERROR, "m", "r")
 
 
 def test_canonicalize_matches_oracle_exhaustively():
