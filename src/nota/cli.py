@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .config import Config, ConfigError, DEFAULT_CONFIG, load_config
+from .config import Config, ConfigError, DEFAULT_CONFIG, _display_name, load_config
 from .lexicon import (
     Lexicon,
     LexiconError,
@@ -39,7 +39,11 @@ class _OutputError(Exception):
 
 
 def _write(text: str) -> None:
-    """Write to standard output; what stops it raises ``_OutputError``."""
+    """Write to standard output; what stops it raises ``_OutputError``.
+    Python sets ``sys.stdout`` to None when it starts with the descriptor
+    closed."""
+    if sys.stdout is None:
+        raise _OutputError("standard output is closed")
     try:
         sys.stdout.write(text)
     except OSError as exc:
@@ -47,9 +51,10 @@ def _write(text: str) -> None:
 
 
 def _flush() -> None:
-    """Flush standard output; what stops it raises ``_OutputError``."""
+    """Flush standard output, if open; what stops it raises ``_OutputError``."""
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
         raise _OutputError(exc) from exc
 
@@ -65,7 +70,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_input(name: str) -> tuple[str, str]:
     """Read a file, or standard input for ``-``, as strict UTF-8."""
-    display = "<stdin>" if name == "-" else name
+    display = "<stdin>" if name == "-" else _display_name(name)
+    if name == "-" and sys.stdin is None:  # started with the descriptor closed
+        raise CliError("cannot read <stdin>: standard input is closed")
     try:
         data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
         return display, data.decode("utf-8")
@@ -289,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         # Point stdout at devnull, so that the interpreter's final flush of
         # what is still buffered stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"nota: error: cannot write output: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ errors::
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -131,6 +132,13 @@ def parse_config(doc: object, base_dir: Path | None = None) -> Config:
             )
 
     return Config(**fields)
+
+
+def _display_name(path: str) -> str:
+    """A file name as reports give it: its bytes that are not UTF-8 as
+    escapes, so that the report stays valid UTF-8, each backslash doubled
+    first, so that no name reads as another's escape."""
+    return os.fsencode(path).replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
 
 
 def load_config(path: Path | str) -> Config:

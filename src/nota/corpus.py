@@ -18,7 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config, DEFAULT_CONFIG, _display_name
 from .lexicon import Lexicon
 from .pipeline import _lint, validate_setup
 from .rules import _word_indices
@@ -146,10 +146,7 @@ def collect_stats(root: Path, lex: Lexicon, config: Config = DEFAULT_CONFIG) -> 
         raise NotADirectoryError(f"not a directory: {root}")
     found: list[tuple[str, FileStats]] = []
     for rel, dir_fd, file_name in _walk(root):
-        # A name's bytes that are not UTF-8 are written as escapes, so the
-        # report stays valid UTF-8; a backslash is doubled first, so that
-        # no name reads as another's escape.
-        name = os.fsencode(rel).replace(b"\\", b"\\\\").decode("utf-8", "backslashreplace")
+        name = _display_name(rel)
         try:
             with open(file_name, encoding="utf-8", opener=partial(os.open, dir_fd=dir_fd)) as f:
                 text = f.read()

@@ -14,9 +14,10 @@ safe to share. Its fields are the five resources; the indexes its
 queries use are cached properties, built on first use. One of them,
 ``_known_lengths`` (the distinct lengths of the known words), tells
 R-SEP and the rules' word gate which suffixes of a word to look up. Its
-one mutable part is a bounded per-word cache of rule results that
-``rules.run_rules`` keeps on it; a new Lexicon, including one made by
-``dataclasses.replace``, starts with an empty cache.
+one mutable part, ``_rule_memo``, keeps the rule set of the last
+configuration linted with it, which is the bounded memo of the rules'
+findings per word (``rules._RuleSet``); a new Lexicon, including one made
+by ``dataclasses.replace``, starts without one.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class Lexicon:
 
     @cached_property
     def _rule_memo(self) -> dict:
-        """Word-local rule results, {config key: {word text: diagnostics}}, of rules.run_rules."""
+        """{config key: rules._RuleSet}, the rule set and word memo of one configuration."""
         return {}
 
     # --- queries (all take surface words, diacritics tolerated) ---------

@@ -40,17 +40,9 @@ from operator import attrgetter
 
 from .config import Config, ConfigError, DEFAULT_CONFIG
 from .lexicon import Lexicon
-from .rules import (
-    Diagnostic,
-    RULE_PRIORITY,
-    RuleWindow,
-    Severity,
-    _remember,
-    _RuleSet,
-    run_rules,
-)
+from .rules import Diagnostic, RULE_PRIORITY, Severity, _RuleSet, run_rules
 from .script import Canonical, canonicalize
-from .tokenize import Token, TokenKind, split_words, tokenize
+from .tokenize import Token, split_words, tokenize
 
 
 class Mode(Enum):
@@ -192,7 +184,7 @@ def normalize(
 
     fixes: list[FixEvent] = []
     passes = 1
-    rules = _RuleSet(lex, config.rules, config.fused_prepositions)
+    rules = _RuleSet.of(lex, config.rules, config.fused_prepositions)  # the first pass's
     splits: dict[str, tuple[str, ...]] = {}  # the split of each text a word became
     pending = [d for d in first_pass if _fixable(d)]
     parts = split_words(canon.text) if pending else []
@@ -203,7 +195,7 @@ def normalize(
                 f"fixes still applicable after {config.max_passes} passes"
             )
         parts, ends, jobs, chosen = _rewrite(parts, ends, pending, splits)
-        pending = _relint(parts, ends, jobs, lex, rules)
+        pending = list(filter(_fixable, rules.lint_words(parts, ends, jobs)))
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
         )
@@ -264,34 +256,3 @@ def _rewrite(
     jobs = list(dict.fromkeys(n for n in jobs if 0 < n < len(out)))
     return out, list(accumulate(map(len, out))), jobs, chosen
 
-
-def _relint(
-    parts: list[str], ends: list[int], jobs: list[int], lex: Lexicon, rules: _RuleSet
-) -> list[Diagnostic]:
-    """The fixable findings of each word ``parts[i]``, ``i`` in ``jobs``,
-    in that order, a word's findings together."""
-    found: list[Diagnostic] = []
-    for i in jobs:
-        entry = rules.memo.get(parts[i])
-        if entry is None:
-            entry = _remember(parts[i], lex, rules)
-        if not entry:  # a clean word
-            continue
-        word_found, gated = entry
-        if word_found:
-            s = ends[i - 1]
-            found += [
-                Diagnostic(f.rule, f.start + s, f.end + s, f.severity, f.message, f.replacement)
-                for f in word_found
-                if _fixable(f)
-            ]
-        if gated:  # the neighbour either side is two parts away, across spaces only
-            prev = nxt = None
-            if i > 1 and parts[i - 1].isspace():
-                prev = Token(TokenKind.WORD, parts[i - 2], ends[i - 3], ends[i - 2])
-            if i + 2 < len(parts) and parts[i + 1].isspace():
-                nxt = Token(TokenKind.WORD, parts[i + 2], ends[i + 1], ends[i + 2])
-            window = RuleWindow(Token(TokenKind.WORD, parts[i], ends[i - 1], ends[i]), prev, nxt)
-            for rule in gated:
-                found += filter(_fixable, rule.body(window, lex, rules.fused))
-    return found

@@ -8,12 +8,12 @@ the map of findings back to the input in ``nota.pipeline`` and
 ``corpus.file_stats`` rely on that.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
-read only the window's word, never its neighbours. ``run_rules`` runs
-them once per distinct word text and keeps their findings in a bounded
-memo on the Lexicon. R-FUT reads the next word and R-PRON the previous
-one, but each can fire only on a word whose skeleton passes its gate;
-the memo also keeps which gates a word passes, and the two run only on
-the windows of those words.
+read only the window's word, never its neighbours. R-FUT reads the next
+word and R-PRON the previous one, but each can fire only on a word whose
+skeleton passes its gate.  The rule set of a configuration, ``_RuleSet``,
+kept on the Lexicon, is the memo of the rules by word text: a word's
+entry holds the word rules' findings and the context rules to run on its
+window.  ``run_rules`` and the fix loop's ``lint_words`` look words up there.
 
 ``_RULES`` is the one table of the rules: by id, in priority order, each
 rule's body and, for a context rule, its gate.  Declaring a rule takes
@@ -43,7 +43,7 @@ from enum import Enum, auto
 from functools import partial
 from itertools import compress, count, repeat
 from operator import attrgetter, is_, itemgetter
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Collection, Mapping, NamedTuple
 
 from .lexicon import Lexicon
 from .script import (
@@ -390,7 +390,7 @@ def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
     return False
 
 
-# Distinct words the memo in run_rules holds before it is emptied.
+# Distinct words a rule set holds before it is emptied.
 _WORD_MEMO_CAP = 4096
 
 
@@ -427,56 +427,93 @@ def windows(tokens: list[Token]) -> list[RuleWindow]:
     return [_window(tokens, i) for i in _word_indices(tokens)]
 
 
-class _RuleSet:
-    """The enabled rules of one configuration, with the memo of their
-    findings per word text that ``lex`` keeps for it; another rule set or
-    fused map empties that memo."""
+def _part_window(parts: list[str], ends: list[int], i: int) -> RuleWindow:
+    """The window of the word ``parts[i]`` in a ``split_words`` list whose
+    parts end at ``ends``: the word next to it across spaces only is two
+    parts away, past a gap of spaces."""
+    prev = nxt = None
+    if i > 1 and parts[i - 1].isspace():
+        prev = Token(_WORD, parts[i - 2], ends[i - 3], ends[i - 2])
+    if i + 2 < len(parts) and parts[i + 1].isspace():
+        nxt = Token(_WORD, parts[i + 2], ends[i + 1], ends[i + 2])
+    return _new_window((Token(_WORD, parts[i], ends[i - 1], ends[i]), prev, nxt))
 
-    __slots__ = ("word_rules", "context_rules", "fused", "memo")
 
-    def __init__(
-        self,
+def _shifted(found: tuple[Diagnostic, ...], base: int) -> list[Diagnostic]:
+    """Findings at offset 0, moved to a word that starts at ``base``."""
+    return [
+        Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
+        for d in found
+    ]
+
+
+class _RuleSet(dict):
+    """The enabled rules of one configuration, as the memo of their
+    findings per word text: ``rules[text]`` is ``(found, gated)``, the
+    word rules' findings at offset 0 and the context rules whose gate the
+    word's skeleton passes, or ``()`` for a clean word, one with neither.
+    A miss lints the word; the memo holds at most ``_WORD_MEMO_CAP`` words.
+
+    ``of`` gives the rule set that ``lex`` keeps for a configuration; one
+    of another configuration takes its place.  The rule set and its
+    lexicon hold each other, a reference cycle that the cyclic GC frees.
+    """
+
+    __slots__ = ("lex", "word_rules", "context_rules", "fused")
+
+    @classmethod
+    def of(
+        cls,
         lex: Lexicon,
         enabled: Mapping[str, bool] | None,
         fused_prepositions: Mapping[str, str] | None,
-    ) -> None:
+    ) -> _RuleSet:
         fused = DEFAULT_FUSED_PREPOSITIONS if fused_prepositions is None else fused_prepositions
         active = {rid: rule for rid, rule in _RULES.items() if enabled is None or enabled.get(rid, True)}
-        self.word_rules = [rule.body for rule in active.values() if rule.gate is None]
-        self.context_rules = [rule for rule in active.values() if rule.gate]
-        self.fused = fused
         config_key = (tuple(active), frozenset(fused.items()))
-        memo = lex._rule_memo.get(config_key)
-        if memo is None:
+        rules = lex._rule_memo.get(config_key)
+        if rules is None:
             lex._rule_memo.clear()
-            memo = lex._rule_memo[config_key] = {}
-        self.memo: dict[str, tuple] = memo  # see _remember
+            rules = lex._rule_memo[config_key] = cls(lex, active.values(), dict(fused))
+        return rules
 
+    def __init__(self, lex: Lexicon, active: Collection[_Rule], fused: Mapping[str, str]) -> None:
+        self.lex, self.fused = lex, fused
+        self.word_rules = [rule.body for rule in active if rule.gate is None]
+        self.context_rules = [rule for rule in active if rule.gate]
 
-def _remember(text: str, lex: Lexicon, rules: _RuleSet) -> tuple:
-    """The memo entry of a word text the memo lacks, stored: ``(found,
-    gated)``, the word rules' findings at offset 0 and the context rules
-    whose gate the word's skeleton passes, or ``()`` for a clean word,
-    one with neither.  Look an entry up with ``memo.get(text)`` against
-    None: ``()`` is falsy, and a miss must not be taken for it."""
-    bare = skeleton(text)
-    found: tuple[Diagnostic, ...] = ()
-    if rules.word_rules and _word_gate(text, bare, lex):
-        at_zero = RuleWindow(Token(TokenKind.WORD, text, 0, len(text)))
-        found = tuple(d for rule in rules.word_rules for d in rule(at_zero, lex, rules.fused))
-    gated: tuple = ()
-    for rule in rules.context_rules:
-        if rule.gate(bare):
-            gated += (rule,)
-    memo = rules.memo
-    if len(memo) >= _WORD_MEMO_CAP:
-        memo.clear()
-    entry = memo[text] = (found, gated) if found or gated else ()
-    return entry
+    def __missing__(self, text: str) -> tuple:
+        lex = self.lex
+        bare = skeleton(text)
+        found: tuple[Diagnostic, ...] = ()
+        if self.word_rules and _word_gate(text, bare, lex):
+            at_zero = RuleWindow(Token(_WORD, text, 0, len(text)))
+            found = tuple(d for rule in self.word_rules for d in rule(at_zero, lex, self.fused))
+        gated: tuple = ()
+        for rule in self.context_rules:
+            if rule.gate(bare):
+                gated += (rule,)
+        if len(self) >= _WORD_MEMO_CAP:
+            self.clear()
+        entry = self[text] = (found, gated) if found or gated else ()
+        return entry
 
-
-# A memo miss in run_rules: truthy, so that compress keeps it.
-_MISS = object()
+    def lint_words(self, parts: list[str], ends: list[int], jobs: list[int]) -> list[Diagnostic]:
+        """The findings of each word ``parts[i]``, ``i`` in ``jobs``, of a
+        ``split_words`` list whose parts end at ``ends``; in that order, a
+        word's findings together."""
+        out: list[Diagnostic] = []
+        for i in jobs:
+            entry = self[parts[i]]
+            if entry:
+                found, gated = entry
+                if found:
+                    out += _shifted(found, ends[i - 1])
+                if gated:
+                    window = _part_window(parts, ends, i)
+                    for rule in gated:
+                        out += rule.body(window, self.lex, self.fused)
+        return out
 
 
 def run_rules(
@@ -487,39 +524,23 @@ def run_rules(
 ) -> list[Diagnostic]:
     """Run the enabled rules over all word windows, in deterministic order.
 
-    The word-local rules run once per distinct word text, on the word
-    alone at offset 0.  The memo keeps their findings, with the enabled
-    context rules whose gate the word's skeleton passes, at most
-    ``_WORD_MEMO_CAP`` words; a clean word's entry is ``()``.  The word
-    tokens are selected and looked up in C-level passes, so a clean word
-    takes no Python step: the loop runs only for memo misses and for words
-    with work.  The findings are shifted to each word, and a window is
-    built only for a word with a context rule to run.
+    The word tokens are selected and looked up in the rule set in C-level
+    passes, where a miss lints the word once (see ``_RuleSet``), so a
+    clean word takes no Python step: the loop runs only for words with
+    work.  The findings are shifted to each word, and a window is built
+    only for a word with a context rule to run.
     """
-    rules = _RuleSet(lex, enabled, fused_prepositions)
-    memo, fused = rules.memo, rules.fused
+    rules = _RuleSet.of(lex, enabled, fused_prepositions)
     at = _word_indices(tokens)
-    entries = list(map(memo.get, map(_TEXT, map(tokens.__getitem__, at)), repeat(_MISS)))
+    entries = list(map(rules.__getitem__, map(_TEXT, map(tokens.__getitem__, at))))
     out: list[Diagnostic] = []
-    for i, entry in compress(zip(at, entries), entries):
-        word = tokens[i]
-        if entry is _MISS:  # when ``entries`` was built; maybe remembered since
-            entry = memo.get(word.text)
-            if entry is None:
-                entry = _remember(word.text, lex, rules)
-            if not entry:
-                continue
-        found, gated = entry
+    for i, (found, gated) in compress(zip(at, entries), entries):
         if found:
-            base = word.start
-            out.extend(
-                Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
-                for d in found
-            )
+            out += _shifted(found, tokens[i].start)
         if gated:
             window = _window(tokens, i)
             for rule in gated:
-                out.extend(rule.body(window, lex, fused))
+                out.extend(rule.body(window, lex, rules.fused))
     # Each rule's findings lie inside its window's word, so this order does
     # not depend on the order the rules ran in.
     out.sort(key=attrgetter("start", "rule"))

@@ -403,6 +403,52 @@ def test_full_device_exits_2_with_one_error_line(tmp_path, argv, unbuffered):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor between fork and exec")
+@pytest.mark.parametrize("fd, argv, error", [
+    (1, ["normalize", "--check", "{src}"], "cannot write output: "),
+    (1, ["normalize", "--fix", "{src}"], "cannot write output: "),
+    (1, ["--help"], "cannot write output: "),
+    (0, ["normalize", "-"], "cannot read <stdin>: "),
+    (0, ["romanize"], "cannot read <stdin>: "),
+    (0, ["translit"], "cannot read <stdin>: "),
+], ids=["stdout --check", "stdout --fix", "stdout --help", "stdin normalize", "stdin romanize", "stdin translit"])
+def test_closed_stream_exits_2_with_one_error_line(tmp_path, fd, argv, error):
+    """A fresh process started with standard input or output closed, which
+    Python then sets to None."""
+    src = tmp_path / "in.txt"
+    src.write_text(DIRTY, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "nota.cli", *(a.format(src=src) for a in argv)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=lambda: os.close(fd),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("nota: error: " + error)
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt, shown", [
+    ("text", "\\xff\\\\.txt:0-3: "),
+    ("json", '"\\\\xff\\\\\\\\.txt"'),
+], ids=["text", "json"])
+def test_file_name_not_utf8_is_escaped_on_strict_stdout(tmp_path, fmt, shown):
+    """A name's bytes that are not UTF-8 reach ``sys.argv`` as lone
+    surrogates, which a strict UTF-8 stdout, as a UTF-8 locale gives,
+    cannot encode; the name is shown with escapes, as ``stats`` shows it."""
+    name = b"\xff\\.txt"
+    try:
+        (tmp_path / os.fsdecode(name)).write_text(DIRTY, encoding="utf-8")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "nota.cli", "normalize", "--format", fmt, name],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8:strict"},
+        cwd=tmp_path, capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    assert shown in done.stdout
+
+
 @pytest.mark.parametrize("module", ["nota", "nota.cli"])
 def test_import_loads_no_subcommand_module(module):
     proc = _python("-c", f"import sys, {module}; print(*sorted(sys.modules))")

@@ -371,24 +371,25 @@ def test_fix_loop_relints_no_more_than_the_first_pass_as_text_grows(monkeypatch,
         seen.append(len(text))
         return split_words(text)
 
-    class CountedMemo(dict):
-        def get(self, text, default=None):
-            seen.append(len(text))
-            return super().get(text, default)
+    class CountedRuleSet(nota.rules._RuleSet):
+        __slots__ = ()
 
-    class CountedRuleSet(nota.pipeline._RuleSet):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.memo = CountedMemo(self.memo)
+        def __getitem__(self, text):
+            if seen:  # past the first pass, which runs before the text is split
+                seen.append(len(text))
+            return super().__getitem__(text)
 
     monkeypatch.setattr(nota.pipeline, "split_words", counted_split)
-    monkeypatch.setattr(nota.pipeline, "_RuleSet", CountedRuleSet)
+    # The lexicon keeps one rule set per configuration: put the counted one there.
+    lexicon = replace(lex)
+    counted = CountedRuleSet.of(lexicon, DEFAULT_CONFIG.rules, DEFAULT_CONFIG.fused_prepositions)
     for lines in (10, 100, 1000):
         text = "اَلدار قدام الحومة\n" + "بش نمشي في الدار\n" * (lines - 1)
         seen.clear()
-        result = normalize(text, lex, mode=Mode.FIX)
+        result = normalize(text, lexicon, mode=Mode.FIX)
         assert [f.rule for f in result.fixes] == ["R-ART"]
-        assert seen[0] == len(text)
+        assert list(lexicon._rule_memo.values()) == [counted]
+        assert seen[0] == len(text) and len(seen) > 2  # the split, then each word looked up
         assert sum(seen) - len(text) <= 100, lines
 
 
@@ -415,13 +416,13 @@ def test_fix_loop_lints_each_word_once_per_pass(monkeypatch):
     re-linted once: its R-FUT finding comes back from the pass once."""
     text = "اَلدار باش يگول"
     returned = []
-    relint = nota.pipeline._relint
+    lint_words = nota.rules._RuleSet.lint_words
 
     def recording(*args):
-        returned.append(relint(*args))
+        returned.append(lint_words(*args))
         return returned[-1]
 
-    monkeypatch.setattr(nota.pipeline, "_relint", recording)
+    monkeypatch.setattr(nota.rules._RuleSet, "lint_words", recording)
     result = _run(text, GAF_VERB_LEXICON, Config())
     assert [f.rule for f in result.fixes if f.pass_index == 1] == ["R-CONS", "R-ART"]
     assert [(d.rule, d.start) for d in returned[0]] == [("R-FUT", 6)]

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import nota.pipeline
 import nota.rules
 import rules_oracle
 from gen import (
@@ -461,17 +460,16 @@ def test_rules_run_once_per_distinct_word(monkeypatch):
     entry taken for a miss would re-run its rules on every occurrence and
     find the same nothing."""
     seen: list[str] = []
-    remember = nota.rules._remember
+    missing = nota.rules._RuleSet.__missing__
 
-    def counted(text, *args):
+    def counted(rules, text):
         seen.append(text)
-        return remember(text, *args)
+        return missing(rules, text)
 
     def words(text):
         return {t.text for t in tokenize(text) if t.kind is TokenKind.WORD}
 
-    monkeypatch.setattr(nota.rules, "_remember", counted)
-    monkeypatch.setattr(nota.pipeline, "_remember", counted)
+    monkeypatch.setattr(nota.rules._RuleSet, "__missing__", counted)
     # A fix on each line, between clean words.
     text = "اَلدار قدام الحومة ما نمشي\n" * 20
     run_rules(tokenize(text), default_lexicon())

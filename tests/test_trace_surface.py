@@ -13,6 +13,7 @@ binds at import time that goes missing stops every benchmark run.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
 import subprocess
@@ -26,10 +27,12 @@ import nota.pipeline
 import nota.rules
 import nota.script
 import nota.tokenize
+from gen import DIRTY_WORDS
 from nota.pipeline import Mode, normalize
 from nota.rules import RULE_PRIORITY, RuleWindow, windows
 from nota.tokenize import TokenKind, tokenize
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERS = {
     "canonicalize": nota.script.canonicalize,
     "tokenize": nota.tokenize.tokenize,
@@ -102,10 +105,34 @@ def test_windows_takes_tokens():
 def test_benchmark_modules_import():
     """``bench/run.py`` and the worker it starts, with the tracer the worker
     imports, load against this checkout's ``src``; ``-B`` writes no bytecode."""
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(BENCH.parent / "src"), str(BENCH)])}
     done = subprocess.run(
         [sys.executable, "-B", "-c", "import worker, run"],
-        cwd=root / "bench", env=env, capture_output=True, text=True,
+        cwd=BENCH, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_replay_agrees_with_run_rules(monkeypatch, lex, tmp_path):
+    """The traced run replays each rule over the windows of every
+    ``run_rules`` call and raises ``MissingSpanError`` where the counts
+    differ, or where a layer the workload needs never ran."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    chain = " ".join(DIRTY_WORDS)
+    # باش before a verb for R-FUT, and a word with two findings.
+    text = f"{chain}\nباش نمشي گاوريٌ {' '.join(reversed(DIRTY_WORDS))}\n{chain}."
+    for mode, name in ((Mode.CHECK, "check"), (Mode.FIX, "fix")):
+        with tracer.installed():
+            tracer.wrap("pipeline.normalize", normalize)(text, lex, mode=mode)
+        tracer.fold(lines=3)
+        tracer.check_fired(name)
+    (tmp_path / "a.txt").write_text(chain, encoding="utf-8")
+    (tmp_path / "b.txt").write_text(text, encoding="utf-8")
+    with tracer.installed():
+        report = tracer.wrap("corpus.collect_stats", nota.corpus.collect_stats)(tmp_path, lex)
+        tracer.wrap("corpus.report_to_json", nota.corpus.report_to_json)(report)
+    tracer.fold()
+    tracer.check_fired("stats")
+    metrics = tracer.metrics()
+    assert [rid for rid in RULE_PRIORITY if not metrics[f"rules.{rid}_diags"]] == []
