@@ -39,14 +39,14 @@ class _OutputError(Exception):
 
 
 def _write(text: str) -> None:
-    """Write to standard output; what stops it raises ``_OutputError``.
-    Python sets ``sys.stdout`` to None when it starts with the descriptor
-    closed."""
+    """Write to standard output; what stops it, text its encoding cannot
+    hold too, raises ``_OutputError``.  Python sets ``sys.stdout`` to None
+    when it starts with the descriptor closed."""
     if sys.stdout is None:
         raise _OutputError("standard output is closed")
     try:
         sys.stdout.write(text)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _OutputError(exc) from exc
 
 
@@ -57,6 +57,19 @@ def _flush() -> None:
             sys.stdout.flush()
     except OSError as exc:
         raise _OutputError(exc) from exc
+
+
+def _error(message: str) -> int:
+    """Report ``message`` as one error line on standard error and return 2.
+    A closed or full standard error loses the line, not the exit code:
+    Python writes standard error unbuffered, so its final flush at exit
+    finds nothing left to write there."""
+    try:
+        if sys.stderr is not None:  # None: started with the descriptor closed
+            print(f"nota: error: {message}", file=sys.stderr, flush=True)
+    except (OSError, ValueError):
+        pass
+    return 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,15 +304,13 @@ def main(argv: list[str] | None = None) -> int:
         _flush()
         return code
     except (CliError, ConfigError, LexiconError, PassCapExceededError) as exc:
-        print(f"nota: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     except _OutputError as exc:
         # Point stdout at devnull, so that the interpreter's final flush of
         # what is still buffered stays quiet.
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"nota: error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

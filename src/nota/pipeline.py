@@ -10,24 +10,23 @@ sweep over the runs canonicalization rewrote; a finding whose span does
 not move is reported as the same object.
 
 Only the first pass tokenizes and lints the whole text.  Every finding
-lies inside one word, so findings of two words never overlap, and a pass
-chooses each word's fixes among its own findings, as the greedy choice
-over the whole text would; within a word, the greedy runs only on
-clusters of findings that overlap.  A pass rewrites words and nothing
-between them, and a rule reads at most its word and the word next to it,
-across spaces, on either side; so a pass can change only the windows of
-the words it made (an R-SEP split gives two, a deleted lone mark none)
-and of the word on either side of each rewritten one.  The loop re-lints
-those, each once per pass, with every enabled rule, through the rule
-memo (Wagner & Graham, "Efficient and Flexible Incremental Parsing",
-TOPLAS 1998).  That suffices because the choice is maximal: each
-fixable finding of a pass overlaps a chosen fix, so a word the pass did
-not rewrite, in a window that did not change, holds no fixable finding.
+lies inside one word, so findings of two words never overlap, and the
+greedy choice over a pass's findings runs apart on each word, and within
+a word only on clusters of findings that overlap.  A pass rewrites words
+and nothing between them, and a rule reads at most its word and the word
+next to it, across spaces, on either side; so a pass can change only the
+windows of the words it made, those that a fix's new span touches (an
+R-SEP split gives two, a deleted lone mark none), and of the word on
+either side of each rewritten one.  The loop re-lints those, each once
+per pass, with every enabled rule, through the rule memo (Wagner &
+Graham, "Efficient and Flexible Incremental Parsing", TOPLAS 1998).
+That suffices because the choice is maximal: each fixable finding of a
+pass overlaps a chosen fix, so a word the pass did not rewrite, in a
+window that did not change, holds no fixable finding.
 
-The loop keeps the text as ``split_words`` gives it, ``[gap, word, gap,
-…, word, gap]``.  A pass bisects the part ends to find each word that
-holds a finding, and puts the split of what the word became in its
-place, the split's edge gaps joining the gaps beside it.
+A pass applies its fixes in one join of the text's slices and their
+replacements, splits the new text with ``split_words``, and finds the
+words to re-lint by bisecting the new parts' ends at each fix's new span.
 """
 
 from __future__ import annotations
@@ -87,7 +86,8 @@ def _fixable(diag: Diagnostic) -> bool:
 
 def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
     """Greedy pick by rule priority then position; overlaps wait a pass.
-    The chosen fixes come back by start.
+    The chosen fixes come back by start.  It runs once per pass, over all
+    of the pass's findings.
 
     Two spans overlap when each starts before the other ends.  Whether the
     greedy takes a span depends only on the spans it overlaps, so it runs
@@ -175,7 +175,7 @@ def normalize(
 ) -> RunResult:
     """Run the full pipeline over one document."""
     validate_setup(lex, config)
-    # Not the token list: the fix loop reads the text as split_words gives it.
+    # Not the token list: each fix pass splits its own text.
     canon, first_pass = _lint(text, lex, config)[::2]
     reported = _to_original(canon, first_pass)
 
@@ -185,16 +185,14 @@ def normalize(
     fixes: list[FixEvent] = []
     passes = 1
     rules = _RuleSet.of(lex, config.rules, config.fused_prepositions)  # the first pass's
-    splits: dict[str, tuple[str, ...]] = {}  # the split of each text a word became
+    fixed = canon.text
     pending = [d for d in first_pass if _fixable(d)]
-    parts = split_words(canon.text) if pending else []
-    ends = list(accumulate(map(len, parts)))
     while pending:
         if passes > config.max_passes:
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
-        parts, ends, jobs, chosen = _rewrite(parts, ends, pending, splits)
+        fixed, parts, ends, jobs, chosen = _rewrite(fixed, pending)
         pending = list(filter(_fixable, rules.lint_words(parts, ends, jobs)))
         fixes.extend(
             FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
@@ -202,7 +200,7 @@ def normalize(
         passes += 1
 
     return RunResult(
-        output="".join(parts) if fixes else canon.text,
+        output=fixed,
         diagnostics=reported,
         fixes=tuple(fixes),
         passes_used=passes,
@@ -210,49 +208,29 @@ def normalize(
 
 
 def _rewrite(
-    parts: list[str], ends: list[int], pending: list[Diagnostic], splits: dict[str, tuple[str, ...]]
-) -> tuple[list[str], list[int], list[int], list[Diagnostic]]:
-    """Rewrite each word of ``parts`` (which end at ``ends``) that holds
-    findings of ``pending``, grouped by word in ascending word order, with
-    the fixes chosen among them.  Return the new parts, their ends, the
-    index of each word made and of the word on either side of each
-    rewritten one, ascending and once, and the fixes chosen, by start."""
-    out = [""]
-    # The pieces that join the open gap out[-1] once a word closes it; joined
-    # once, so that a chain of deleted words stays linear.
-    more: list[str] = []
+    text: str, pending: list[Diagnostic]
+) -> tuple[str, list[str], list[int], list[int], list[Diagnostic]]:
+    """Apply the fixes chosen among ``pending`` to ``text``.  Return the new
+    text, its ``split_words`` parts and their ends, the index of each word
+    that a fix's new span touches and of the word on either side, ascending
+    and once, and the fixes chosen, by start."""
+    chosen = _select_nonoverlapping(pending)
+    pieces: list[str] = []
+    cut = 0
+    for d in chosen:
+        pieces += text[cut : d.start], d.replacement
+        cut = d.end
+    pieces.append(text[cut:])
+    fixed = "".join(pieces)
+    parts = split_words(fixed)
+    ends = list(accumulate(map(len, parts)))
     jobs: list[int] = []
-    chosen: list[Diagnostic] = []
-    copied = i = 0
-    while i < len(pending):
-        k = bisect_right(ends, pending[i].start, copied)
-        start, word = ends[k - 1], parts[k]
-        j = bisect_left(pending, ends[k], i + 1, key=_START)  # past the word's findings
-        picks = pending[i:j] if j == i + 1 else _select_nonoverlapping(pending[i:j])
-        new, cut = "", 0
-        for d in picks:
-            new += word[cut : d.start - start] + d.replacement
-            cut = d.end - start
-        new += word[cut:]
-        chosen += picks
-        sub = splits.get(new)
-        if sub is None:
-            sub = splits[new] = tuple(split_words(new))
-        # The parts up to the word, then the split of what it became, each
-        # ``[gap, word, …, gap]`` with its first gap joining the open one.
-        for run in (parts[copied:k], sub):
-            if run[0]:
-                more.append(run[0])
-            if len(run) > 1:
-                if more:
-                    out[-1] += "".join(more)
-                    more = []
-                out += run[1:]
-        # The words made, and the word either side: out[-1] is the gap before the next.
-        jobs += range(len(out) - len(sub) - 1, len(out) + 1, 2)
-        copied, i = k + 1, j
-    out[-1] += "".join(more) + parts[copied]
-    out += parts[copied + 1 :]
-    jobs = list(dict.fromkeys(n for n in jobs if 0 < n < len(out)))
-    return out, list(accumulate(map(len, out))), jobs, chosen
-
+    shift = 0  # how far the fixes so far moved the text after them
+    for d in chosen:
+        lo = bisect_left(ends, d.start + shift)  # the first part that ends at or past the span
+        shift += len(d.replacement) - (d.end - d.start)
+        hi = bisect_right(ends, d.end + shift)  # the first part that ends past it
+        # The words from the one before part lo to the one after part hi:
+        # words sit at the odd indices, and the last part is a gap.
+        jobs += range(max(lo - 2, 0) | 1, min(hi + 3, len(parts) - 1), 2)
+    return fixed, parts, ends, list(dict.fromkeys(jobs)), chosen

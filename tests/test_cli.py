@@ -427,6 +427,49 @@ def test_closed_stream_exits_2_with_one_error_line(tmp_path, fd, argv, error):
     assert done.stderr.count("\n") == 1
 
 
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor between fork and exec")
+@pytest.mark.parametrize("stderr", ["closed", pytest.param("full", marks=_NO_DEV_FULL)])
+@pytest.mark.parametrize("argv, encoding", [
+    (["normalize", "{missing}"], "utf-8"),
+    (["normalize", "--fix", "{src}"], "ascii"),
+], ids=["unreadable input", "output the encoding cannot hold"])
+def test_closed_or_full_stderr_exits_2(tmp_path, stderr, argv, encoding):
+    """A fresh process whose error line cannot be written, with standard
+    error closed or on a full device: the exit code stays 2, also past the
+    interpreter's final flush, and nothing reaches standard output."""
+    src = tmp_path / "in.txt"
+    src.write_text(DIRTY, encoding="utf-8")
+    argv = [a.format(src=src, missing=tmp_path / "missing.txt") for a in argv]
+    with open(os.devnull if stderr == "closed" else "/dev/full", "w") as sink:
+        done = subprocess.run(
+            [sys.executable, "-m", "nota.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding},
+            stdout=subprocess.PIPE, stderr=sink, text=True, timeout=60,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+        )
+    assert (done.returncode, done.stdout) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--fix", "-"],
+    ["normalize", "--check", "-"],
+], ids=["--fix", "--check"])
+def test_output_the_encoding_cannot_hold_exits_2_with_one_error_line(argv):
+    """A fresh process whose standard output is ASCII: the fixed text, or
+    the report that quotes it, cannot be encoded."""
+    done = subprocess.run(
+        [sys.executable, "-m", "nota.cli", *argv], input=DIRTY.encode("utf-8"),
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "ascii"},
+        capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"nota: error: cannot write output: ")
+    assert done.stderr.count(b"\n") == 1
+
+
 @pytest.mark.parametrize("fmt, shown", [
     ("text", "\\xff\\\\.txt:0-3: "),
     ("json", '"\\\\xff\\\\\\\\.txt"'),

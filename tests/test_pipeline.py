@@ -360,23 +360,24 @@ def test_fix_loop_edges_take_the_fixes_named(lex, text, rules, passes):
 
 def test_fix_loop_relints_no_more_than_the_first_pass_as_text_grows(monkeypatch, lex):
     """Passes after the first read only a bounded neighbourhood of each fix:
-    with one fix on line 1 of N, the texts handed to ``split_words`` (the
-    whole text once, then each rewritten word) and the words the loop looks
-    up in the rule memo add up to the first pass's text plus a part that
-    does not grow with N."""
-    seen: list[int] = []
+    with one fix on line 1 of N, ``split_words`` runs once per pass that
+    rewrites, on the whole text the pass made, and the words the loop looks
+    up in the rule memo after the first pass add up to a part that does not
+    grow with N."""
+    split_texts: list[str] = []
+    looked_up: list[int] = []
     split_words = nota.pipeline.split_words
 
     def counted_split(text):
-        seen.append(len(text))
+        split_texts.append(text)
         return split_words(text)
 
     class CountedRuleSet(nota.rules._RuleSet):
         __slots__ = ()
 
         def __getitem__(self, text):
-            if seen:  # past the first pass, which runs before the text is split
-                seen.append(len(text))
+            if split_texts:  # past the first pass, which runs before the text is split
+                looked_up.append(len(text))
             return super().__getitem__(text)
 
     monkeypatch.setattr(nota.pipeline, "split_words", counted_split)
@@ -385,12 +386,13 @@ def test_fix_loop_relints_no_more_than_the_first_pass_as_text_grows(monkeypatch,
     counted = CountedRuleSet.of(lexicon, DEFAULT_CONFIG.rules, DEFAULT_CONFIG.fused_prepositions)
     for lines in (10, 100, 1000):
         text = "اَلدار قدام الحومة\n" + "بش نمشي في الدار\n" * (lines - 1)
-        seen.clear()
+        split_texts.clear()
+        looked_up.clear()
         result = normalize(text, lexicon, mode=Mode.FIX)
         assert [f.rule for f in result.fixes] == ["R-ART"]
         assert list(lexicon._rule_memo.values()) == [counted]
-        assert seen[0] == len(text) and len(seen) > 2  # the split, then each word looked up
-        assert sum(seen) - len(text) <= 100, lines
+        assert split_texts == [result.output]  # the one pass that rewrites
+        assert looked_up and sum(looked_up) <= 100, lines
 
 
 # A verb spelled with ڨ, so that a fix inside a word can make it a verb
@@ -572,20 +574,20 @@ def test_normalize_linear_on_hostile_sizes(name, mode):
 CHOICE_WORDS = ["اَلدارٌ", "گاوريٌ", "بِاتٌ", "كتابٌ", "بش", "نمشي", "في", "الدار"]
 
 
-def _choice_seconds(monkeypatch, lex, small: str, large: str) -> list[float]:
-    """The time spent choosing fixes in FIX on ``small`` and on ``large``,
-    best of 3.  The runs alternate, so that a change in the host's speed
-    weighs on both sizes alike."""
-    select = nota.pipeline._select_nonoverlapping
+def _seconds_in(monkeypatch, lex, name: str, small: str, large: str) -> list[float]:
+    """The time spent in ``nota.pipeline``'s function ``name`` in FIX on
+    ``small`` and on ``large``, best of 3.  The runs alternate, so that a
+    change in the host's speed weighs on both sizes alike."""
+    step = getattr(nota.pipeline, name)
     spent = [0.0]
 
-    def timed(diags):
+    def timed(*args):
         start = time.perf_counter()
-        chosen = select(diags)
+        out = step(*args)
         spent[0] += time.perf_counter() - start
-        return chosen
+        return out
 
-    monkeypatch.setattr(nota.pipeline, "_select_nonoverlapping", timed)
+    monkeypatch.setattr(nota.pipeline, name, timed)
     best = [float("inf")] * 2
     for _ in range(3):
         for k, text in enumerate((small, large)):
@@ -605,7 +607,9 @@ def test_fix_choice_grows_linearly(monkeypatch, lex):
     text does: 16 times the lines may take at most 32 times as long.  A
     choice over the whole text that inserts each fix into one sorted list
     takes about 57 times as long here."""
-    best = _choice_seconds(monkeypatch, lex, _choice_lines(1000), _choice_lines(16000))
+    best = _seconds_in(
+        monkeypatch, lex, "_select_nonoverlapping", _choice_lines(1000), _choice_lines(16000)
+    )
     assert best[1] <= 32 * best[0], best
 
 
@@ -614,5 +618,14 @@ def test_fix_choice_grows_linearly_in_one_word(monkeypatch, lex):
     overlapping: 16 times the clusters may take at most 32 times as long.
     A choice that inserts each of the word's fixes into one sorted list
     takes about 70 times as long here."""
-    best = _choice_seconds(monkeypatch, lex, "گٌ" * 2500, "گٌ" * 40000)
+    best = _seconds_in(monkeypatch, lex, "_select_nonoverlapping", "گٌ" * 2500, "گٌ" * 40000)
+    assert best[1] <= 32 * best[0], best
+
+
+def test_fix_pass_grows_linearly(monkeypatch, lex):
+    """The time spent in the fix passes, applying the chosen fixes and
+    splitting the new text, best of 3: 16 times the lines may take at most
+    32 times as long.  A pass that applies each fix by slicing the whole
+    text takes about 200 times as long here."""
+    best = _seconds_in(monkeypatch, lex, "_rewrite", _choice_lines(1000), _choice_lines(16000))
     assert best[1] <= 32 * best[0], best
