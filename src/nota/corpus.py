@@ -21,7 +21,6 @@ from typing import Iterator
 from .config import Config, DEFAULT_CONFIG, _display_name
 from .lexicon import Lexicon
 from .pipeline import _lint, validate_setup
-from .rules import _word_indices
 
 # Unused here, but bench/tracer.py rebinds these names on this module.
 from .rules import run_rules  # noqa: F401
@@ -50,9 +49,10 @@ class CorpusReport:
 
 def file_stats(name: str, text: str, lex: Lexicon, config: Config) -> FileStats:
     _, tokens, diagnostics = _lint(text, lex, config)
-    starts = [tokens[i].start for i in _word_indices(tokens)]
-    # A word is dirty when it holds a finding's start: every finding lies
-    # inside one word (see ``nota.rules``).
+    # Each word starts where the gap before it ends; the last gap has no
+    # word after it.  A word is dirty when it holds a finding's start:
+    # every finding lies inside one word (see ``nota.rules``).
+    starts = tokens.ends[:-1:2]
     dirty = {bisect_right(starts, d.start) for d in diagnostics}
     return FileStats(
         file=name,

@@ -9,17 +9,19 @@ first pass's findings, sorted by start, are mapped onto the input in one
 sweep over the runs canonicalization rewrote; a finding whose span does
 not move is reported as the same object.
 
-Only the first pass tokenizes and lints the whole text.  Every finding
-lies inside one word, so findings of two words never overlap, and the
-greedy choice over a pass's findings runs apart on each word, and within
-a word only on clusters of findings that overlap.  A pass rewrites words
-and nothing between them, and a rule reads at most its word and the word
-next to it, across spaces, on either side; so a pass can change only the
-windows of the words it made, those that a fix's new span touches (an
-R-SEP split gives two, a deleted lone mark none), and of the word on
-either side of each rewritten one.  The loop re-lints those, each once
-per pass, with every enabled rule, through the rule memo (Wagner &
-Graham, "Efficient and Flexible Incremental Parsing", TOPLAS 1998).
+Only the first pass lints the whole text: ``run_rules`` looks every word
+of the text's ``split_words`` parts up in the rule memo, and no typed
+token is built.  Every finding lies inside one word, so findings of two
+words never overlap, and the greedy choice over a pass's findings runs
+apart on each word, and within a word only on clusters of findings that
+overlap.  A pass rewrites words and nothing between them, and a rule
+reads at most its word and the word next to it, across spaces, on either
+side; so a pass can change only the windows of the words it made, those
+that a fix's new span touches (an R-SEP split gives two, a deleted lone
+mark none), and of the word on either side of each rewritten one.  The
+loop re-lints those, each once per pass, with every enabled rule, through
+the same ``_RuleSet.lint_words`` as the first pass (Wagner & Graham,
+"Efficient and Flexible Incremental Parsing", TOPLAS 1998).
 That suffices because the choice is maximal: each fixable finding of a
 pass overlaps a chosen fix, so a word the pass did not rewrite, in a
 window that did not change, holds no fixable finding.
@@ -41,7 +43,7 @@ from .config import Config, ConfigError, DEFAULT_CONFIG
 from .lexicon import Lexicon
 from .rules import Diagnostic, RULE_PRIORITY, Severity, _RuleSet, run_rules
 from .script import Canonical, canonicalize
-from .tokenize import Token, split_words, tokenize
+from .tokenize import Tokens, split_words, tokenize
 
 
 class Mode(Enum):
@@ -124,10 +126,11 @@ def _greedy(diags: list[Diagnostic]) -> list[Diagnostic]:
 
 def _lint(
     text: str, lex: Lexicon, config: Config
-) -> tuple[Canonical, list[Token], list[Diagnostic]]:
-    """The lint core: canonicalize, tokenize, run the rules.
+) -> tuple[Canonical, Tokens, list[Diagnostic]]:
+    """The lint core: canonicalize, split the text into words, run the rules
+    on every word.  Neither this nor its callers read the typed runs.
 
-    Token and diagnostic spans point into ``canon.text``.
+    The parts' ends and the diagnostic spans point into ``canon.text``.
     """
     canon = canonicalize(text)
     tokens = tokenize(canon.text)

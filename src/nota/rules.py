@@ -13,7 +13,9 @@ word and R-PRON the previous one, but each can fire only on a word whose
 skeleton passes its gate.  The rule set of a configuration, ``_RuleSet``,
 kept on the Lexicon, is the memo of the rules by word text: a word's
 entry holds the word rules' findings and the context rules to run on its
-window.  ``run_rules`` and the fix loop's ``lint_words`` look words up there.
+window.  ``_RuleSet.lint_words`` looks words up there: over every word of
+the text's ``split_words`` parts in the first pass (``run_rules``), and
+over the words each fix pass may have changed.
 
 ``_RULES`` is the one table of the rules: by id, in priority order, each
 rule's body and, for a context rule, its gate.  Declaring a rule takes
@@ -41,9 +43,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum, auto
 from functools import partial
-from itertools import compress, count, repeat
-from operator import attrgetter, is_, itemgetter
-from typing import Callable, Collection, Mapping, NamedTuple
+from itertools import compress
+from operator import attrgetter
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon
 from .script import (
@@ -59,7 +61,7 @@ from .script import (
     char_class,
     skeleton,
 )
-from .tokenize import Token, TokenKind
+from .tokenize import Token, TokenKind, Tokens
 
 # Fused preposition+article spellings expanded to two tokens.  The
 # single-letter proclitics ب and ل stay attached.
@@ -394,37 +396,10 @@ def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
 _WORD_MEMO_CAP = 4096
 
 
-_KIND = itemgetter(0)
-_TEXT = itemgetter(1)
 # Reading an Enum member off its class costs a descriptor call each time,
 # and a NamedTuple's own ``__new__`` is a Python function.
-_WORD, _SPACE = TokenKind.WORD, TokenKind.SPACE
+_WORD = TokenKind.WORD
 _new_window = partial(tuple.__new__, RuleWindow)
-
-
-def _word_indices(tokens: list[Token]) -> list[int]:
-    """The index in ``tokens`` of each word token, found in C-level passes."""
-    return list(compress(count(), map(is_, map(_KIND, tokens), repeat(_WORD))))
-
-
-def _window(tokens: list[Token], i: int) -> RuleWindow:
-    """The window of the word ``tokens[i]``.  Runs are maximal, so the word
-    token next to it across spaces only is two away, past one SPACE."""
-    prev = nxt = None
-    if i > 1 and tokens[i - 1].kind is _SPACE and tokens[i - 2].kind is _WORD:
-        prev = tokens[i - 2]
-    if i + 2 < len(tokens) and tokens[i + 1].kind is _SPACE and tokens[i + 2].kind is _WORD:
-        nxt = tokens[i + 2]
-    return _new_window((tokens[i], prev, nxt))
-
-
-def windows(tokens: list[Token]) -> list[RuleWindow]:
-    """Word tokens paired with their word neighbours across spaces only.
-
-    Punctuation or foreign material breaks adjacency, so a sentence-final
-    باش never sees a verb on the other side of a full stop.
-    """
-    return [_window(tokens, i) for i in _word_indices(tokens)]
 
 
 def _part_window(parts: list[str], ends: list[int], i: int) -> RuleWindow:
@@ -437,6 +412,18 @@ def _part_window(parts: list[str], ends: list[int], i: int) -> RuleWindow:
     if i + 2 < len(parts) and parts[i + 1].isspace():
         nxt = Token(_WORD, parts[i + 2], ends[i + 1], ends[i + 2])
     return _new_window((Token(_WORD, parts[i], ends[i - 1], ends[i]), prev, nxt))
+
+
+def windows(tokens: Tokens) -> list[RuleWindow]:
+    """Word tokens paired with their word neighbours across spaces only.
+
+    Punctuation or foreign material breaks adjacency, so a sentence-final
+    باش never sees a verb on the other side of a full stop.  The windows
+    are those the rules get: ``_part_window`` of each word of
+    ``tokens.parts``.
+    """
+    parts, ends = tokens.parts, tokens.ends
+    return [_part_window(parts, ends, i) for i in range(1, len(parts), 2)]
 
 
 def _shifted(found: tuple[Diagnostic, ...], base: int) -> list[Diagnostic]:
@@ -498,49 +485,47 @@ class _RuleSet(dict):
         entry = self[text] = (found, gated) if found or gated else ()
         return entry
 
-    def lint_words(self, parts: list[str], ends: list[int], jobs: list[int]) -> list[Diagnostic]:
+    def lint_words(
+        self, parts: list[str], ends: list[int], jobs: Sequence[int]
+    ) -> list[Diagnostic]:
         """The findings of each word ``parts[i]``, ``i`` in ``jobs``, of a
         ``split_words`` list whose parts end at ``ends``; in that order, a
-        word's findings together."""
+        word's findings together.  It lints the first pass, every word, and
+        each fix pass's words.
+
+        The words are looked up in the memo in C-level passes, where a miss
+        lints the word once, so a clean word takes no Python step: the loop
+        runs only for words with work.  Their findings are shifted to the
+        word, and a window is built only for a word with a context rule to
+        run.
+        """
+        entries = list(map(self.__getitem__, map(parts.__getitem__, jobs)))
         out: list[Diagnostic] = []
-        for i in jobs:
-            entry = self[parts[i]]
-            if entry:
-                found, gated = entry
-                if found:
-                    out += _shifted(found, ends[i - 1])
-                if gated:
-                    window = _part_window(parts, ends, i)
-                    for rule in gated:
-                        out += rule.body(window, self.lex, self.fused)
+        for i, (found, gated) in compress(zip(jobs, entries), entries):
+            if found:
+                out += _shifted(found, ends[i - 1])
+            if gated:
+                window = _part_window(parts, ends, i)
+                for rule in gated:
+                    out += rule.body(window, self.lex, self.fused)
         return out
 
 
 def run_rules(
-    tokens: list[Token],
+    tokens: Tokens,
     lex: Lexicon,
     enabled: Mapping[str, bool] | None = None,
     fused_prepositions: Mapping[str, str] | None = None,
 ) -> list[Diagnostic]:
     """Run the enabled rules over all word windows, in deterministic order.
 
-    The word tokens are selected and looked up in the rule set in C-level
-    passes, where a miss lints the word once (see ``_RuleSet``), so a
-    clean word takes no Python step: the loop runs only for words with
-    work.  The findings are shifted to each word, and a window is built
-    only for a word with a context rule to run.
+    That is ``lint_words`` of the rule set over every word of
+    ``tokens.parts``; the typed runs are never read.
     """
-    rules = _RuleSet.of(lex, enabled, fused_prepositions)
-    at = _word_indices(tokens)
-    entries = list(map(rules.__getitem__, map(_TEXT, map(tokens.__getitem__, at))))
-    out: list[Diagnostic] = []
-    for i, (found, gated) in compress(zip(at, entries), entries):
-        if found:
-            out += _shifted(found, tokens[i].start)
-        if gated:
-            window = _window(tokens, i)
-            for rule in gated:
-                out.extend(rule.body(window, lex, rules.fused))
+    parts = tokens.parts
+    out = _RuleSet.of(lex, enabled, fused_prepositions).lint_words(
+        parts, tokens.ends, range(1, len(parts), 2)
+    )
     # Each rule's findings lie inside its window's word, so this order does
     # not depend on the order the rules ran in.
     out.sort(key=attrgetter("start", "rule"))

@@ -6,20 +6,23 @@ text into maximal runs of word characters (WORD), whitespace as
 punctuation and foreign text alike, since the rules read only words and
 the spaces between them.
 
-``tokenize`` takes no Python step per token: ``findall`` gives the run
-texts, ``accumulate`` over their lengths the offsets, a fixed table the
-kind of each run's first character, and ``tuple.__new__`` the tokens,
-each in a C-level pass over the runs.
+``tokenize`` gives a ``Tokens``: the ``split_words`` parts of the text and
+their ends, which is all the rules read, and a view of the typed runs.
+The runs are built on first use, once: ``findall`` gives the run texts,
+``accumulate`` over their lengths the offsets, a fixed table the kind of
+each run's first character, and ``tuple.__new__`` the tokens, each in a
+C-level pass over the runs.  The lint core never reads them, so it makes
+no Token, and no object per run that the cyclic GC tracks.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum, auto
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .script import WORD_CHARS, char_class
 
@@ -55,20 +58,58 @@ _FIRST = itemgetter(0)
 # A NamedTuple's own ``__new__`` is a Python function; ``tuple.__new__`` is not.
 _make_token = partial(tuple.__new__, Token)
 
+# ``[gap, word, gap, …, word, gap]``: the WORD token texts of ``tokenize``
+# at the odd indices, and the text around and between them, which joins
+# back to the input; only the first and last gap can be empty.
+split_words = re.compile(f"([{_WORD}]+)").split
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into maximal same-kind runs covering the input exactly.
 
-    Mixed-script runs split at the script boundary: a Latin letter never
-    joins an Arabic word token.
-    """
+def _typed_runs(text: str) -> list[Token]:
+    """The maximal same-kind runs of ``text``, as tokens."""
     runs = _RUNS.findall(text)
     kinds = map(_KIND_OF.get, map(_FIRST, runs), repeat(TokenKind.OTHER))
     bounds = list(accumulate(map(len, runs), initial=0))
     return list(map(_make_token, zip(kinds, runs, bounds, bounds[1:])))
 
 
-# ``[gap, word, gap, …, word, gap]``: the WORD token texts of ``tokenize``
-# at the odd indices, and the text around and between them, which joins
-# back to the input; only the first and last gap can be empty.
-split_words = re.compile(f"([{_WORD}]+)").split
+class Tokens:
+    """The tokens of one text.
+
+    ``parts`` is its ``split_words`` list and ``ends[i]`` the offset where
+    ``parts[i]`` ends.  As a sequence, it is the list of the text's typed
+    runs, ``runs``, built when first read: it has a length, indexing and
+    slicing, iteration, ``repr`` and ``==`` with a list of tokens.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.parts = split_words(text)
+        self.ends = list(accumulate(map(len, self.parts)))
+
+    @cached_property
+    def runs(self) -> list[Token]:
+        return _typed_runs(self.text)
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, index):
+        return self.runs[index]
+
+    def __iter__(self) -> Iterator[Token]:
+        return iter(self.runs)
+
+    def __eq__(self, other: object) -> bool:
+        return self.runs == other
+
+    def __repr__(self) -> str:
+        return repr(self.runs)
+
+
+def tokenize(text: str) -> Tokens:
+    """Split text into maximal same-kind runs covering the input exactly.
+
+    Mixed-script runs split at the script boundary: a Latin letter never
+    joins an Arabic word token.
+    """
+    return Tokens(text)

@@ -3,15 +3,19 @@ from __future__ import annotations
 import random
 import sys
 import time
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nota.tokenize
 import rules_oracle
 import tokenize_oracle
 from gen import HOSTILE_DOCS, lexicon_word_pool, random_text, wide_text
+from nota.corpus import collect_stats
 from nota.lexicon import default_lexicon
+from nota.pipeline import Mode, normalize
 from nota.rules import windows
 from nota.script import WORD_CHARS, skeleton
 from nota.tokenize import _SPACE_CHARS, TokenKind, split_words, tokenize
@@ -133,7 +137,7 @@ def test_tokenize_splits_at_whitespace(text):
     for cut in range(1, len(text)):
         if not (text[cut - 1].isspace() or text[cut].isspace()):
             continue
-        left = tokenize(text[:cut])
+        left = list(tokenize(text[:cut]))
         right = [t._replace(start=t.start + cut, end=t.end + cut) for t in tokenize(text[cut:])]
         if left[-1].kind is right[0].kind is TokenKind.SPACE:
             joined = left.pop()
@@ -159,11 +163,14 @@ def _check_split_words(text: str) -> None:
 
 
 POOL = lexicon_word_pool(default_lexicon())
+TEXTS = st.one_of(
+    st.text(),
+    wide_text,
+    st.integers(0, 2**32 - 1).map(lambda seed: random_text(random.Random(seed), POOL)),
+)
 
 
-@given(st.one_of(st.text(), wide_text, st.integers(0, 2**32 - 1).map(
-    lambda seed: random_text(random.Random(seed), POOL)
-)))
+@given(TEXTS)
 def test_split_words_matches_tokenize(text):
     _check_split_words(text)
 
@@ -171,3 +178,30 @@ def test_split_words_matches_tokenize(text):
 @pytest.mark.parametrize("name", HOSTILE_DOCS)
 def test_split_words_matches_tokenize_on_hostile_docs(name):
     _check_split_words(HOSTILE_DOCS[name])
+
+
+@given(TEXTS)
+def test_tokens_hold_the_parts_and_view_the_runs(text):
+    tokens = tokenize(text)
+    assert tokens.parts == split_words(text)
+    assert tokens.ends == list(accumulate(map(len, tokens.parts)))
+    runs = tokenize_oracle.tokenize(text)
+    assert tokens == runs
+    assert list(tokens) == runs and len(tokens) == len(runs)
+    assert tokens[1:] == runs[1:] and repr(tokens) == repr(runs)
+
+
+def test_lint_core_builds_no_typed_runs(monkeypatch, tmp_path):
+    """``normalize`` in both modes and ``collect_stats`` read only the
+    parts: none of them builds the typed runs."""
+    def refuse(text):
+        raise AssertionError("the typed runs were built")
+
+    monkeypatch.setattr(nota.tokenize, "_typed_runs", refuse)
+    lex = default_lexicon()
+    text = "باش نمشي. گاوريٌ اَلدار\nوالدار 2024 abc"
+    for mode in Mode:
+        assert normalize(text, lex, mode=mode).diagnostics
+    (tmp_path / "a.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "b.txt").write_text("كتاب", encoding="utf-8")
+    assert collect_stats(tmp_path, lex).word_tokens == 6
