@@ -10,9 +10,11 @@ sweep over the runs canonicalization rewrote; a finding whose span does
 not move is reported as the same object.
 
 Only the first pass lints the whole text: ``run_rules`` looks every word
-of the text's ``split_words`` parts up in the rule memo, and no typed
-token is built.  Every finding lies inside one word, so findings of two
-words never overlap, and the greedy choice over a pass's findings runs
+of the text's ``split_words`` parts up in the rule memo.  No path of the
+lint core builds a ``Token``: a rule gets the texts of its word and of
+the words next to it, and finds its spans at offset 0 in its word.
+Every finding lies inside one word, so findings of two words never
+overlap, and the greedy choice over a pass's findings runs
 apart on each word, and within a word only on clusters of findings that
 overlap.  A pass rewrites words and nothing between them, and a rule
 reads at most its word and the word next to it, across spaces, on either

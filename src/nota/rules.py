@@ -1,11 +1,13 @@
 """The NOTA rules as independent detectors producing span diagnostics.
 
 Rule ids are stable public strings. Each rule is a pure function of its
-token window, the lexicon and the rule tables; replacements converge:
-re-running a rule on its own replacement yields nothing. Every finding
-is a non-empty span inside one word token, so it holds no whitespace;
-the map of findings back to the input in ``nota.pipeline`` and
-``corpus.file_stats`` rely on that.
+window, the text of a word and the texts of its neighbours, the lexicon
+and the rule tables; replacements converge: re-running a rule on its own
+replacement yields nothing. Every finding is a non-empty span at offset
+0 in its word, so it holds no whitespace.  ``_RuleSet.lint_words`` alone
+moves a finding to its word's place in the text; the map of findings
+back to the input in ``nota.pipeline`` and ``corpus.file_stats`` rely on
+each finding lying inside one word.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. R-FUT reads the next
@@ -15,7 +17,8 @@ kept on the Lexicon, is the memo of the rules by word text: a word's
 entry holds the word rules' findings and the context rules to run on its
 window.  ``_RuleSet.lint_words`` looks words up there: over every word of
 the text's ``split_words`` parts in the first pass (``run_rules``), and
-over the words each fix pass may have changed.
+over the words each fix pass may have changed; it takes a window's texts
+from the parts around its word.
 
 ``_RULES`` is the one table of the rules: by id, in priority order, each
 rule's body and, for a context rule, its gate.  Declaring a rule takes
@@ -61,7 +64,7 @@ from .script import (
     char_class,
     skeleton,
 )
-from .tokenize import Token, TokenKind, Tokens
+from .tokenize import Tokens
 
 # Fused preposition+article spellings expanded to two tokens.  The
 # single-letter proclitics ب and ل stay attached.
@@ -89,11 +92,12 @@ class Diagnostic:
 
 
 class RuleWindow(NamedTuple):
-    """A word token with its neighbouring word tokens (across spaces only)."""
+    """A word's text with the texts of its neighbouring words (across spaces
+    only)."""
 
-    word: Token
-    prev_word: Token | None = None
-    next_word: Token | None = None
+    word: str
+    prev_word: str | None = None
+    next_word: str | None = None
 
 
 _MARK_CHARS = "".join(sorted(ARABIC_MARKS))
@@ -130,32 +134,32 @@ def rule_cons(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     word = window.word
     out: list[Diagnostic] = []
     # Variant letters are rare: a C-speed test skips the walk on most words.
-    if not lex.variant_map.keys().isdisjoint(word.text):
-        for i, ch in enumerate(word.text):
+    if not lex.variant_map.keys().isdisjoint(word):
+        for i, ch in enumerate(word):
             canonical = lex.variant_map.get(ch)
             if canonical:
                 out.append(
                     Diagnostic(
                         "R-CONS",
-                        word.start + i,
-                        word.start + i + 1,
+                        i,
+                        i + 1,
                         Severity.ERROR,
                         f"variant letter {ch}; the canonical letter is {canonical}",
                         canonical,
                     )
                 )
     if not out:
-        bare = skeleton(word.text)
+        bare = skeleton(word)
         respelled = lex.gaf_words.get(bare)
         if respelled and respelled != bare:
             out.append(
                 Diagnostic(
                     "R-CONS",
-                    word.start,
-                    word.end,
+                    0,
+                    len(word),
                     Severity.WARNING,
                     "word is pronounced with /g/; spell it with ڨ",
-                    _respell(word.text, respelled),
+                    _respell(word, respelled),
                 )
             )
     return out
@@ -163,10 +167,9 @@ def rule_cons(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
 
 def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-VOW: long /ɛ/ is Zwarakay+Alef, and only the four vowel marks exist."""
-    word = window.word
     out: list[Diagnostic] = []
-    for m in _BAD_VOWEL.finditer(word.text):
-        ch, i = m.group(), word.start + m.start()
+    for m in _BAD_VOWEL.finditer(window.word):
+        ch, i = m.group(), m.start()
         if ch == KASRA:
             message, replacement = "long /ɛ/ written Kasra+Alef; use Zwarakay+Alef", ZWARAKAY
         else:
@@ -177,15 +180,14 @@ def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
 
 def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-ART: the definite article ال carries no diacritics."""
-    word = window.word
-    m = _ARTICLE.match(word.text)
+    m = _ARTICLE.match(window.word)
     if m is None or m.end() == 2:
         return []
     return [
         Diagnostic(
             "R-ART",
-            word.start,
-            word.start + m.end(),
+            0,
+            m.end(),
             Severity.ERROR,
             "definite article is written without diacritics",
             ALEF + LAM,
@@ -196,7 +198,7 @@ def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
 def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-AMQ: final ى iff the verb's present 3sg ends in long /i/, else ا."""
     word = window.word
-    bare = skeleton(word.text)
+    bare = skeleton(word)
     if not bare or bare[-1] not in (ALEF, ALEF_MAQSURA):
         return []
     entry = lex.lookup_citation_folded(bare)
@@ -213,24 +215,24 @@ def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
         finding = (Severity.WARNING, f"listed spelling is {listed}", listed[-1])
     else:
         finding = (Severity.INFO, "final-vowel spelling unverified (word not in lexicon)", None)
-    pos = word.start + len(word.text.rstrip(_MARK_CHARS)) - 1
+    pos = len(word.rstrip(_MARK_CHARS)) - 1
     return [Diagnostic("R-AMQ", pos, pos + 1, *finding)]
 
 
 def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-IMP: irregular imperatives regularize to 2sg-present minus ت."""
     word = window.word
-    entry = lex.lookup_irregular_imperative(word.text)
+    entry = lex.lookup_irregular_imperative(word)
     if entry is None or not entry.present_2sg or not entry.present_2sg.startswith(TEH):
         return []
     regular = entry.present_2sg[1:]
-    if regular == skeleton(word.text):
+    if regular == skeleton(word):
         return []
     return [
         Diagnostic(
             "R-IMP",
-            word.start,
-            word.end,
+            0,
+            len(word),
             Severity.WARNING,
             f"irregular imperative; the regular form is {regular}",
             regular,
@@ -248,17 +250,14 @@ def _pron_gate(bare: str) -> bool:
 
 def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-FUT: باش before an imperfective verb is the future marker بش."""
-    word = window.word
-    if not _fut_gate(skeleton(word.text)):
-        return []
-    nxt = window.next_word
-    if nxt is None or not lex.matches_imperfective(nxt.text):
+    word, nxt = window.word, window.next_word
+    if not _fut_gate(skeleton(word)) or nxt is None or not lex.matches_imperfective(nxt):
         return []
     return [
         Diagnostic(
             "R-FUT",
-            word.start,
-            word.end,
+            0,
+            len(word),
             Severity.WARNING,
             "future marker before a verb is written بش (باش means 'with what')",
             "بش",
@@ -272,12 +271,12 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     The sentence is genuinely ambiguous, so this is informational only.
     """
     word = window.word
-    bare = skeleton(word.text)
+    bare = skeleton(word)
     # Each candidate below is ``bare`` or its tail, so ends as ``bare`` does.
     if not _pron_gate(bare):
         return []
     prev = window.prev_word
-    prev_bare = skeleton(prev.text) if prev is not None else None
+    prev_bare = skeleton(prev) if prev is not None else None
 
     candidates: list[tuple[str, str]] = []
     if prev_bare in ("ما", "م"):
@@ -291,8 +290,8 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
             return [
                 Diagnostic(
                     "R-PRON",
-                    word.start,
-                    word.end,
+                    0,
+                    len(word),
                     Severity.INFO,
                     "negated verb may hide an object pronoun; هو makes it explicit",
                     suggestion,
@@ -304,7 +303,7 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
 def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-SEP: prepositions and the conjunction و stay separate words."""
     word = window.word
-    bare = skeleton(word.text)
+    bare = skeleton(word)
     known = lex.known_words
     if len(bare) < 2 or bare in known or bare in lex.prepositions:
         return []
@@ -336,12 +335,12 @@ def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     return []
 
 
-def _split(word: Token, n_letters: int, message: str, head: str | None = None) -> list[Diagnostic]:
+def _split(word: str, n_letters: int, message: str, head: str | None = None) -> list[Diagnostic]:
     """R-SEP's finding: a space after the word's first ``n_letters`` letters,
     or those letters replaced by ``head``; marks stay with their letter."""
-    k = [i for i, ch in enumerate(word.text) if ch not in ARABIC_MARKS][n_letters]
-    replacement = (word.text[:k] + " " if head is None else head) + word.text[k:]
-    return [Diagnostic("R-SEP", word.start, word.end, Severity.WARNING, message, replacement)]
+    k = [i for i, ch in enumerate(word) if ch not in ARABIC_MARKS][n_letters]
+    replacement = (word[:k] + " " if head is None else head) + word[k:]
+    return [Diagnostic("R-SEP", 0, len(word), Severity.WARNING, message, replacement)]
 
 
 class _Rule(NamedTuple):
@@ -396,37 +395,33 @@ def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
 _WORD_MEMO_CAP = 4096
 
 
-# Reading an Enum member off its class costs a descriptor call each time,
-# and a NamedTuple's own ``__new__`` is a Python function.
-_WORD = TokenKind.WORD
+# A NamedTuple's own ``__new__`` is a Python function.
 _new_window = partial(tuple.__new__, RuleWindow)
 
 
-def _part_window(parts: list[str], ends: list[int], i: int) -> RuleWindow:
-    """The window of the word ``parts[i]`` in a ``split_words`` list whose
-    parts end at ``ends``: the word next to it across spaces only is two
-    parts away, past a gap of spaces."""
-    prev = nxt = None
-    if i > 1 and parts[i - 1].isspace():
-        prev = Token(_WORD, parts[i - 2], ends[i - 3], ends[i - 2])
-    if i + 2 < len(parts) and parts[i + 1].isspace():
-        nxt = Token(_WORD, parts[i + 2], ends[i + 1], ends[i + 2])
-    return _new_window((Token(_WORD, parts[i], ends[i - 1], ends[i]), prev, nxt))
+def _part_window(parts: list[str], i: int) -> RuleWindow:
+    """The window of the word ``parts[i]`` in a ``split_words`` list: the
+    word next to it across spaces only is two parts away, past a gap of
+    spaces."""
+    prev = parts[i - 2] if i > 1 and parts[i - 1].isspace() else None
+    nxt = parts[i + 2] if i + 2 < len(parts) and parts[i + 1].isspace() else None
+    return _new_window((parts[i], prev, nxt))
 
 
 def windows(tokens: Tokens) -> list[RuleWindow]:
-    """Word tokens paired with their word neighbours across spaces only.
+    """The words of ``tokens`` paired with their word neighbours across
+    spaces only.
 
     Punctuation or foreign material breaks adjacency, so a sentence-final
     باش never sees a verb on the other side of a full stop.  The windows
     are those the rules get: ``_part_window`` of each word of
     ``tokens.parts``.
     """
-    parts, ends = tokens.parts, tokens.ends
-    return [_part_window(parts, ends, i) for i in range(1, len(parts), 2)]
+    parts = tokens.parts
+    return [_part_window(parts, i) for i in range(1, len(parts), 2)]
 
 
-def _shifted(found: tuple[Diagnostic, ...], base: int) -> list[Diagnostic]:
+def _shifted(found: Sequence[Diagnostic], base: int) -> list[Diagnostic]:
     """Findings at offset 0, moved to a word that starts at ``base``."""
     return [
         Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
@@ -474,8 +469,8 @@ class _RuleSet(dict):
         bare = skeleton(text)
         found: tuple[Diagnostic, ...] = ()
         if self.word_rules and _word_gate(text, bare, lex):
-            at_zero = RuleWindow(Token(_WORD, text, 0, len(text)))
-            found = tuple(d for rule in self.word_rules for d in rule(at_zero, lex, self.fused))
+            alone = RuleWindow(text)
+            found = tuple(d for rule in self.word_rules for d in rule(alone, lex, self.fused))
         gated: tuple = ()
         for rule in self.context_rules:
             if rule.gate(bare):
@@ -495,19 +490,19 @@ class _RuleSet(dict):
 
         The words are looked up in the memo in C-level passes, where a miss
         lints the word once, so a clean word takes no Python step: the loop
-        runs only for words with work.  Their findings are shifted to the
-        word, and a window is built only for a word with a context rule to
-        run.
+        runs only for words with work.  A window is built only for a word
+        with a context rule to run, and the word's findings, all at offset
+        0, are moved to its place in the text together: the one place where
+        a finding gets its text offset.
         """
         entries = list(map(self.__getitem__, map(parts.__getitem__, jobs)))
         out: list[Diagnostic] = []
         for i, (found, gated) in compress(zip(jobs, entries), entries):
-            if found:
-                out += _shifted(found, ends[i - 1])
             if gated:
-                window = _part_window(parts, ends, i)
+                window = _part_window(parts, i)
                 for rule in gated:
-                    out += rule.body(window, self.lex, self.fused)
+                    found += tuple(rule.body(window, self.lex, self.fused))
+            out += _shifted(found, ends[i - 1])
         return out
 
 

@@ -11,8 +11,8 @@ their ends, which is all the rules read, and a view of the typed runs.
 The runs are built on first use, once: ``findall`` gives the run texts,
 ``accumulate`` over their lengths the offsets, a fixed table the kind of
 each run's first character, and ``tuple.__new__`` the tokens, each in a
-C-level pass over the runs.  The lint core never reads them, so it makes
-no Token, and no object per run that the cyclic GC tracks.
+C-level pass over the runs.  No path of the lint core reads them or
+builds a Token, so it makes no object per run that the cyclic GC tracks.
 """
 
 from __future__ import annotations

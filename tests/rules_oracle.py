@@ -1,5 +1,5 @@
 """The rule loop, the windows, the fix choice and five rule bodies as they
-were first written.
+were first written, on windows of word tokens.
 
 Kept as the oracle for ``nota.rules.run_rules``, ``nota.rules.windows``
 and ``nota.pipeline._select_nonoverlapping``: every enabled rule runs on
@@ -11,17 +11,22 @@ character or one cluster at a time and sorted the fused map on every
 call.  The code is the implementation they replaced, unchanged except
 that ``_select_nonoverlapping`` lost its leading underscore here, and
 that ``rule_sep`` sorts the prepositions on every call, as it did
-before the Lexicon kept them sorted.  ``iter_clusters``, which
-``rule_art`` walked, is a verbatim copy of the one ``nota.script`` had.
+before the Lexicon kept them sorted, that the window of tokens they read
+is ``TokenWindow`` here, and that ``run_rules`` calls the rule bodies of
+``nota.rules``, which read the texts of a window and find their spans
+at offset 0 in its word, and moves their findings to the word's token.
+``iter_clusters``, which ``rule_art`` walked, is a verbatim copy of the
+one ``nota.script`` had.
 ``rule_fut`` is R-FUT as it was before its test on the word moved into
 a gate that ``run_rules`` shares; with ``rule_pron`` it is what the
-context-rule gates are checked against.
+context-rule gates are checked against.  ``text_window`` and
+``token_window`` turn one window into the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping, NamedTuple
 
 from nota.lexicon import Lexicon
 from nota.pipeline import _PRIORITY_INDEX
@@ -47,9 +52,31 @@ from nota.script import (
 from nota.tokenize import Token, TokenKind
 
 
-def windows(tokens: list[Token]) -> list[RuleWindow]:
+class TokenWindow(NamedTuple):
+    """A word token with its neighbouring word tokens (across spaces only)."""
+
+    word: Token
+    prev_word: Token | None = None
+    next_word: Token | None = None
+
+
+def text_window(window: TokenWindow) -> RuleWindow:
+    """The window the rules of ``nota.rules`` get: the tokens' texts."""
+    prev, nxt = window.prev_word, window.next_word
+    return RuleWindow(window.word.text, prev and prev.text, nxt and nxt.text)
+
+
+def token_window(window: RuleWindow) -> TokenWindow:
+    """A window of ``nota.rules`` as the bodies here read it, each text a
+    word token at offset 0."""
+    return TokenWindow(
+        *(None if text is None else Token(TokenKind.WORD, text, 0, len(text)) for text in window)
+    )
+
+
+def windows(tokens: list[Token]) -> list[TokenWindow]:
     """Word tokens paired with their word neighbours across spaces only."""
-    out: list[RuleWindow] = []
+    out: list[TokenWindow] = []
     for i, tok in enumerate(tokens):
         if tok.kind is not TokenKind.WORD:
             continue
@@ -65,7 +92,7 @@ def windows(tokens: list[Token]) -> list[RuleWindow]:
             j += 1
         if j < len(tokens) and tokens[j].kind is TokenKind.WORD:
             next_word = tokens[j]
-        out.append(RuleWindow(tok, prev_word, next_word))
+        out.append(TokenWindow(tok, prev_word, next_word))
     return out
 
 
@@ -82,8 +109,10 @@ def run_rules(
     ]
     out: list[Diagnostic] = []
     for window in windows(tokens):
+        at = window.word.start
         for rid in active:
-            out.extend(_RULES[rid].body(window, lex, fused))
+            for d in _RULES[rid].body(text_window(window), lex, fused):
+                out.append(replace(d, start=d.start + at, end=d.end + at))
     out.sort(key=lambda d: (d.start, d.rule))
     return out
 
@@ -134,7 +163,7 @@ def _letter_offsets(text: str) -> list[int]:
     return [i for i, ch in enumerate(text) if ch not in ARABIC_MARKS]
 
 
-def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+def rule_vow(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-VOW: long /ɛ/ is Zwarakay+Alef, and only the four vowel marks exist."""
     word = window.word
     out: list[Diagnostic] = []
@@ -165,7 +194,7 @@ def rule_vow(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     return out
 
 
-def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+def rule_art(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-ART: the definite article ال carries no diacritics."""
     word = window.word
     clusters = iter_clusters(word.text)
@@ -188,7 +217,7 @@ def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     ]
 
 
-def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+def rule_amq(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-AMQ: final ى iff the verb's present 3sg ends in long /i/, else ا."""
     word = window.word
     bare = skeleton(word.text)
@@ -235,7 +264,7 @@ def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     ]
 
 
-def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+def rule_pron(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-PRON: negated verb + وش may hide an object pronoun; suggest هو.
 
     The sentence is genuinely ambiguous, so this is informational only.
@@ -267,7 +296,7 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     return []
 
 
-def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+def rule_fut(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-FUT: باش before an imperfective verb is the future marker بش."""
     word = window.word
     if skeleton(word.text) != "باش":
@@ -287,7 +316,7 @@ def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     ]
 
 
-def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
+def rule_sep(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-SEP: prepositions and the conjunction و stay separate words."""
     word = window.word
     bare = skeleton(word.text)

@@ -518,17 +518,27 @@ def test_fix_loop_relints_across_joined_runs(text, fused, rules):
 def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, place):
     """Every window a context rule gets is the one ``windows(tokenize(t))``
     gives its word, ``t`` being the text that pass works on, rebuilt from
-    the pass-local fix spans.  A wrong neighbour or a stale start shows
-    here even where no output does, as in an Info finding."""
+    the pass-local fix spans; the word is found by where it starts in the
+    parts that ``_part_window`` builds its window from.  A wrong neighbour
+    or a stale start shows here even where no output does, as in an Info
+    finding."""
     pieces = [w + g for w, g in zip(words, gaps)]
     pieces.insert(min(place, len(pieces)), wide)
     text = "".join(pieces)
-    seen: list = []  # the windows the context rules got; None where a pass rewrote the text
+    # (start, window) of each window the context rules got; None where a
+    # pass rewrote the text.
+    seen: list = []
+    starts: list[int] = []  # where the word of each window built starts
     rewrite = nota.pipeline._rewrite
+    part_window = nota.rules._part_window
+
+    def placed(parts, i):
+        starts.append(sum(map(len, parts[:i])))
+        return part_window(parts, i)
 
     def recording(rule):
         def run(window, lex, fused):
-            seen.append(window)
+            seen.append((starts[-1], window))
             return rule(window, lex, fused)
         return run
 
@@ -540,6 +550,7 @@ def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, pl
         _patch_body(mp, "R-PRON", recording(_warning_pron))
         _patch_body(mp, "R-FUT", recording(nota.rules.rule_fut))
         mp.setattr(nota.pipeline, "_rewrite", marked)
+        mp.setattr(nota.rules, "_part_window", placed)
         result = normalize(text, _split_lexicon(), Config(fused_prepositions=fused), Mode.FIX)
     texts = [canonicalize(text).text]
     for index in range(1, result.passes_used):
@@ -550,12 +561,14 @@ def test_fix_loop_builds_the_windows_tokenize_would(words, gaps, fused, wide, pl
         texts.append(current)
     assert result.output == texts[-1]
     index = 0
-    for window in seen:
-        if window is None:
+    for got in seen:
+        if got is None:
             index += 1
         else:
+            start, window = got
             expected = {w.word.start: w for w in rules_oracle.windows(tokenize(texts[index]))}
-            assert window == expected.get(window.word.start), index
+            assert start in expected, index
+            assert window == rules_oracle.text_window(expected[start]), index
 
 
 # --- hostile sizes -------------------------------------------------------------

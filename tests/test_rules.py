@@ -37,7 +37,7 @@ from nota.rules import (
     windows,
 )
 from nota.script import ARABIC_MARKS, FATHA, SHADDA, SUKUN, WAW, canonicalize, skeleton
-from nota.tokenize import Token, TokenKind, tokenize
+from nota.tokenize import TokenKind, split_words, tokenize
 
 # Convenience glyph names for readability.
 BAASH = "باش"          # باش
@@ -502,8 +502,8 @@ def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
     lexicon = SYNTHETIC if synthetic else lex
     rng = random.Random(seed)
     text = _document(rng, lexicon, wide)
-    words = [t for t in tokenize(text) if t.kind is TokenKind.WORD]
-    neighbours = [None, *words, *(tokenize(w)[0] for w in DIRTY_WORDS)]
+    words = [t.text for t in tokenize(text) if t.kind is TokenKind.WORD]
+    neighbours = [None, *words, *(tokenize(w)[0].text for w in DIRTY_WORDS)]
     for window in windows(tokenize(text)):
         alone = RuleWindow(window.word)
         other = RuleWindow(window.word, rng.choice(neighbours), rng.choice(neighbours))
@@ -540,14 +540,13 @@ def test_context_rule_finds_nothing_where_its_gate_fails(lex, rid):
     rng = random.Random(rid)
     for lexicon in (lex, SYNTHETIC):
         texts = [*DIRTY_WORDS, *lexicon_word_pool(lexicon), *(random_word(rng) for _ in range(40))]
-        neighbours = [None, *(Token(TokenKind.WORD, t, 0, len(t)) for t in texts)]
         for text in texts:
             if gate(skeleton(text)):
                 continue
-            word = Token(TokenKind.WORD, text, 10, 10 + len(text))
-            for neighbour in neighbours:
-                window = RuleWindow(word, neighbour, neighbour)
-                assert rule(window, lexicon, fused) == [] == oracle(window, lexicon, fused), window
+            for neighbour in [None, *texts]:
+                window = RuleWindow(text, neighbour, neighbour)
+                found = oracle(rules_oracle.token_window(window), lexicon, fused)
+                assert rule(window, lexicon, fused) == [] == found, window
 
 
 # --- the rule bodies against their oracle ------------------------------------
@@ -607,8 +606,9 @@ def _bait(rng: random.Random, lex) -> str:
 
 def _assert_rules_match_oracle(text: str, lexicon, fused) -> None:
     for window in windows(tokenize(text)):
+        tokens = rules_oracle.token_window(window)
         for rid, oracle in ORACLE_RULES.items():
-            assert _RULES[rid].body(window, lexicon, fused) == oracle(window, lexicon, fused), (rid, window)
+            assert _RULES[rid].body(window, lexicon, fused) == oracle(tokens, lexicon, fused), (rid, window)
 
 
 @settings(max_examples=300, deadline=None)
@@ -652,9 +652,8 @@ def test_cons_flags_every_variant_letter(lex, variant_map):
         word = window.word
         found = rule_cons(window, lexicon, DEFAULT_FUSED_PREPOSITIONS)
         assert [(d.start, d.replacement) for d in found if d.severity is Severity.ERROR] == [
-            (word.start + i, lexicon.variant_map[ch])
-            for i, ch in enumerate(word.text) if ch in lexicon.variant_map
-        ], word.text
+            (i, lexicon.variant_map[ch]) for i, ch in enumerate(word) if ch in lexicon.variant_map
+        ], word
 
 
 def test_rules_match_oracle_on_every_mark(lex):
@@ -711,12 +710,12 @@ def _sep_case(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_sep_case(), start=st.integers(0, 9))
-def test_sep_matches_oracle_on_random_lexicons(case, start):
+@given(case=_sep_case())
+def test_sep_matches_oracle_on_random_lexicons(case):
     lexicon, fused, words = case
     for text in words:
-        window = RuleWindow(Token(TokenKind.WORD, text, start, start + len(text)))
-        expected = rules_oracle.rule_sep(window, lexicon, fused)
+        window = RuleWindow(text)
+        expected = rules_oracle.rule_sep(rules_oracle.token_window(window), lexicon, fused)
         assert rule_sep(window, lexicon, fused) == expected, text
 
 
@@ -734,8 +733,8 @@ def test_sep_matches_oracle_on_long_words(lex, fused):
     words = [head + al + word for head in heads for al in ("", "ال") for word in LONG_KNOWN]
     text = " ".join(words + ["كتاب" * 4 + word for word in words])
     for window in windows(tokenize(text)):
-        expected = rules_oracle.rule_sep(window, lexicon, fused)
-        assert rule_sep(window, lexicon, fused) == expected, window.word.text
+        expected = rules_oracle.rule_sep(rules_oracle.token_window(window), lexicon, fused)
+        assert rule_sep(window, lexicon, fused) == expected, window.word
 
 
 # --- the word gate in run_rules --------------------------------------------------
@@ -765,7 +764,7 @@ class _Unreadable:
 
 
 @cache
-def _table_free(rid: str, window: RuleWindow) -> list | None:
+def _table_free(rid: str, window: rules_oracle.TokenWindow) -> list | None:
     """What the oracle of ``rid`` finds in ``window`` if it reads neither the
     lexicon nor the fused map, and so finds under every one; else None.
     The oracles are slow on a long word, and the gate tests run them on the
@@ -787,14 +786,15 @@ def _assert_rules_find_nothing_where_the_gate_fails(texts, lexicon, fused_maps) 
             if word.kind is not TokenKind.WORD or _word_gate(word.text, skeleton(word.text), lexicon):
                 continue
             closed += 1
-            window = RuleWindow(word)
+            window = RuleWindow(word.text)
+            tokens = rules_oracle.token_window(window)
             for rid, rule in WORD_RULES.items():
                 for fused in fused_maps:
                     assert rule(window, lexicon, fused) == [], (rid, word.text)
                 if rid in ORACLE_RULES:
-                    found = _table_free(rid, window)
+                    found = _table_free(rid, tokens)
                     if found is None:
-                        found = [d for f in fused_maps for d in ORACLE_RULES[rid](window, lexicon, f)]
+                        found = [d for f in fused_maps for d in ORACLE_RULES[rid](tokens, lexicon, f)]
                     assert found == [], (rid, word.text)
     return closed
 
@@ -835,3 +835,42 @@ def test_word_gate_on_hostile_docs(name):
 def test_word_gate_on_wide_text(wide, name, fused):
     texts = [wide, canonicalize(wide).text]
     _assert_rules_find_nothing_where_the_gate_fails(texts, GATE_LEXICONS[name], [fused])
+
+
+# --- the offset-0 contract that lint_words' one shift relies on ---------------
+
+
+def _with_hostile_docs(test):
+    """Examples of the test below with each hostile document as its wide text."""
+    for doc in HOSTILE_DOCS.values():
+        test = example(seed=0, wide=doc, neighbours=[None, ""], synthetic=False, fused=None)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    wide=wide_text,
+    neighbours=st.lists(st.none() | st.text() | st.sampled_from(DIRTY_WORDS), min_size=1, max_size=4),
+    synthetic=st.booleans(),
+    fused=st.sampled_from(FUSED_MAPS),
+)
+@example(seed=0, wide="باش نمشي ما كلموش", neighbours=[None], synthetic=False, fused=None)
+@_with_hostile_docs
+def test_findings_lie_in_their_word_at_offset_0(lex, seed, wide, neighbours, synthetic, fused):
+    """Every rule finds non-empty spans inside its window's word, counted
+    from the word's start, and free of whitespace, whatever the
+    neighbours: so ``lint_words`` places a word's findings in the text by
+    one shift, the offset where the word starts."""
+    lexicon = SYNTHETIC if synthetic else lex
+    fused = DEFAULT_FUSED_PREPOSITIONS if fused is None else fused
+    rng = random.Random(seed)
+    texts = [random_text(rng, lexicon_word_pool(lexicon)), _bait(rng, lexicon), wide]
+    texts.append(canonicalize(wide).text)
+    words = list(dict.fromkeys(w for text in texts for w in split_words(text)[1::2]))
+    for word in words:
+        window = RuleWindow(word, rng.choice(neighbours + words), rng.choice(neighbours + words))
+        for rid, rule in _RULES.items():
+            for d in rule.body(window, lexicon, fused):
+                assert 0 <= d.start < d.end <= len(word), (rid, window, d)
+                assert not any(ch.isspace() for ch in word[d.start : d.end]), (rid, window, d)

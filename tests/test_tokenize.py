@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nota.rules
 import nota.tokenize
 import rules_oracle
 import tokenize_oracle
@@ -16,7 +17,7 @@ from gen import HOSTILE_DOCS, lexicon_word_pool, random_text, wide_text
 from nota.corpus import collect_stats
 from nota.lexicon import default_lexicon
 from nota.pipeline import Mode, normalize
-from nota.rules import windows
+from nota.rules import RULE_IDS, windows
 from nota.script import WORD_CHARS, skeleton
 from nota.tokenize import _SPACE_CHARS, TokenKind, split_words, tokenize
 
@@ -96,7 +97,7 @@ def test_tokens_and_windows_match_oracles_on_every_code_point():
     text = "".join(map(chr, range(0x110000)))
     tokens = tokenize(text)
     assert tokens == tokenize_oracle.tokenize(text)
-    assert windows(tokens) == rules_oracle.windows(tokens)
+    assert windows(tokens) == list(map(rules_oracle.text_window, rules_oracle.windows(tokens)))
 
 
 def test_space_table_is_str_isspace():
@@ -123,7 +124,7 @@ def test_tokenize_keeps_no_per_character_state():
 def test_tokens_and_windows_match_oracles(text):
     tokens = tokenize(text)
     assert tokens == tokenize_oracle.tokenize(text)
-    assert windows(tokens) == rules_oracle.windows(tokens)
+    assert windows(tokens) == list(map(rules_oracle.text_window, rules_oracle.windows(tokens)))
 
 
 @given(st.one_of(st.text(), mixed_text, wide_text))
@@ -193,15 +194,35 @@ def test_tokens_hold_the_parts_and_view_the_runs(text):
 
 def test_lint_core_builds_no_typed_runs(monkeypatch, tmp_path):
     """``normalize`` in both modes and ``collect_stats`` read only the
-    parts: none of them builds the typed runs."""
+    parts: none of them builds the typed runs, and every rule gets a window
+    of strings.  Each run has a fresh lexicon, so that no rule memo keeps
+    a rule from running."""
     def refuse(text):
         raise AssertionError("the typed runs were built")
 
+    ran: set[str] = set()
+
+    def strings_only(rid, body):
+        def run(window, lex, fused):
+            assert type(window.word) is str, (rid, window)
+            assert all(t is None or type(t) is str for t in window[1:]), (rid, window)
+            ran.add(rid)
+            return body(window, lex, fused)
+        return run
+
     monkeypatch.setattr(nota.tokenize, "_typed_runs", refuse)
-    lex = default_lexicon()
+    for rid, rule in nota.rules._RULES.items():
+        monkeypatch.setitem(nota.rules._RULES, rid, rule._replace(body=strings_only(rid, rule.body)))
     text = "باش نمشي. گاوريٌ اَلدار\nوالدار 2024 abc"
+    pron = "ما كلموش"  # R-PRON's gate passes on its second word
     for mode in Mode:
-        assert normalize(text, lex, mode=mode).diagnostics
+        assert normalize(text, default_lexicon(), mode=mode).diagnostics
+        normalize(pron, default_lexicon(), mode=mode)
+        assert ran == RULE_IDS, mode
+        ran.clear()
     (tmp_path / "a.txt").write_text(text, encoding="utf-8")
     (tmp_path / "b.txt").write_text("كتاب", encoding="utf-8")
-    assert collect_stats(tmp_path, lex).word_tokens == 6
+    assert collect_stats(tmp_path, default_lexicon()).word_tokens == 6
+    (tmp_path / "c.txt").write_text(pron, encoding="utf-8")
+    assert collect_stats(tmp_path, default_lexicon()).word_tokens == 8
+    assert ran == RULE_IDS

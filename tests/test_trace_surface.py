@@ -4,11 +4,15 @@
 and ``file_stats`` on the modules that call them, and replays
 ``windows(tokens)`` and every ``rule_<id>(window, lex, fused)`` with the
 arguments it reads off each ``run_rules`` call, finding each rule by name
-and in ``RULE_PRIORITY`` order.  A refactor that renames, reshapes or stops
-calling any of them, or gives a rule in ``_RULES`` a body of another name,
-breaks ``bench/run.py --trace 1``; these tests make it fail the unit suite
-as well.  The untraced run imports ``bench/tracer.py`` too, so a name it
-binds at import time that goes missing stops every benchmark run.
+and in ``RULE_PRIORITY`` order.  Of what these return it reads the kind of
+each token that ``tokenize`` gives, and counts the windows and each rule's
+findings; it never reads a window's fields or a finding's offsets, so the
+tests pin one window per word, not its shape.  A refactor that renames,
+reshapes or stops calling any of them, or gives a rule in ``_RULES`` a
+body of another name, breaks ``bench/run.py --trace 1``; these tests make
+it fail the unit suite as well.  The untraced run imports
+``bench/tracer.py`` too, so a name it binds at import time that goes
+missing stops every benchmark run.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def test_windows_takes_tokens():
     assert [t.kind for t in tokens][:1] == [TokenKind.WORD]
     found = windows(tokens)
     assert all(isinstance(w, RuleWindow) for w in found)
-    assert [w.word.text for w in found] == ["باش", "نمشي"]
+    assert [w.word for w in found] == ["باش", "نمشي"]
 
 
 def test_benchmark_modules_import():
