@@ -203,10 +203,11 @@ def _cmd_lexicon_validate(args: argparse.Namespace) -> int:
 def _per_line(
     args: argparse.Namespace, convert: Callable[[str], str], error: type[Exception]
 ) -> int:
-    """Write ``convert`` of each stripped input line; a blank line stays blank."""
+    """Write ``convert`` of each stripped input line, cut at line feeds as in
+    ``lexicon._read_lines``; a blank line stays blank."""
     _, text = _read_input(args.file)
     out: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removesuffix("\n").split("\n") if text else (), start=1):
         word = line.strip()
         try:
             out.append(convert(word) if word else "")

@@ -315,9 +315,10 @@ def resolve_lexicon_paths(paths: Iterable[Path]) -> dict[str, Path]:
 
 
 def _read_lines(source: Path | resources.abc.Traversable) -> list[str]:
-    """The lines of one role file, on disk or packaged."""
+    """The lines of one role file, on disk or packaged, cut at line feeds
+    only: ``str.splitlines`` also cuts at U+2028, U+0085 or a form feed."""
     try:
-        return source.read_text(encoding="utf-8").splitlines()
+        return source.read_bytes().decode("utf-8").split("\n")
     except OSError as exc:
         raise LexiconError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -26,7 +26,9 @@ the same ``_RuleSet.lint_words`` as the first pass (Wagner & Graham,
 "Efficient and Flexible Incremental Parsing", TOPLAS 1998).
 That suffices because the choice is maximal: each fixable finding of a
 pass overlaps a chosen fix, so a word the pass did not rewrite, in a
-window that did not change, holds no fixable finding.
+window that did not change, holds no fixable finding.  A pass's pending
+fixes are its ``FixEvent``s, one per fixable finding, and the fix trace
+keeps those chosen: after the first pass no ``Diagnostic`` is built.
 
 A pass applies its fixes in one join of the text's slices and their
 replacements, splits the new text with ``split_words``, and finds the
@@ -88,20 +90,20 @@ def _fixable(diag: Diagnostic) -> bool:
     return diag.replacement is not None and diag.severity in (Severity.ERROR, Severity.WARNING)
 
 
-def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
+def _select_nonoverlapping(pending: list[FixEvent]) -> list[FixEvent]:
     """Greedy pick by rule priority then position; overlaps wait a pass.
     The chosen fixes come back by start.  It runs once per pass, over all
-    of the pass's findings.
+    of the pass's pending fixes.
 
     Two spans overlap when each starts before the other ends.  Whether the
     greedy takes a span depends only on the spans it overlaps, so it runs
     apart on each cluster of spans that overlap transitively, found in one
     sweep by start; a span alone in its cluster is taken.
     """
-    chosen: list[Diagnostic] = []
-    cluster: list[Diagnostic] = []
+    chosen: list[FixEvent] = []
+    cluster: list[FixEvent] = []
     reach = 0  # the greatest end in the cluster
-    for d in sorted(diags, key=_START):
+    for d in sorted(pending, key=_START):
         if d.start >= reach:
             chosen += cluster if len(cluster) < 2 else _greedy(cluster)
             cluster.clear()
@@ -111,15 +113,15 @@ def _select_nonoverlapping(diags: list[Diagnostic]) -> list[Diagnostic]:
     return chosen
 
 
-def _greedy(diags: list[Diagnostic]) -> list[Diagnostic]:
-    """The greedy choice among ``diags``, by start.
+def _greedy(cluster: list[FixEvent]) -> list[FixEvent]:
+    """The greedy choice among ``cluster``, by start.
 
     Pairwise non-overlapping, the chosen spans have ends that never
     decrease with their starts, so the last one starting before a
     candidate's end is the only one that can reach past its start.
     """
-    chosen: list[Diagnostic] = []
-    for d in sorted(diags, key=lambda d: (_PRIORITY_INDEX[d.rule], d.start, d.end)):
+    chosen: list[FixEvent] = []
+    for d in sorted(cluster, key=lambda d: (_PRIORITY_INDEX[d.rule], d.start, d.end)):
         i = bisect_left(chosen, d.end, key=_START)
         if i == 0 or chosen[i - 1].end <= d.start:
             chosen.insert(i, d)
@@ -191,18 +193,19 @@ def normalize(
     passes = 1
     rules = _RuleSet.of(lex, config.rules, config.fused_prepositions)  # the first pass's
     fixed = canon.text
-    pending = [d for d in first_pass if _fixable(d)]
-    while pending:
+    linted = [(0, first_pass)]  # (offset, findings) pairs; the first pass's are placed
+    while pending := [
+        FixEvent(d.rule, passes, d.start + base, d.end + base, d.replacement)
+        for base, found in linted for d in found if _fixable(d)
+    ]:
         if passes > config.max_passes:
             raise PassCapExceededError(
                 f"fixes still applicable after {config.max_passes} passes"
             )
         fixed, parts, ends, jobs, chosen = _rewrite(fixed, pending)
-        pending = list(filter(_fixable, rules.lint_words(parts, ends, jobs)))
-        fixes.extend(
-            FixEvent(d.rule, passes, d.start, d.end, d.replacement) for d in reversed(chosen)
-        )
+        fixes += reversed(chosen)
         passes += 1
+        linted = rules.lint_words(parts, ends, jobs)
 
     return RunResult(
         output=fixed,
@@ -213,8 +216,8 @@ def normalize(
 
 
 def _rewrite(
-    text: str, pending: list[Diagnostic]
-) -> tuple[str, list[str], list[int], list[int], list[Diagnostic]]:
+    text: str, pending: list[FixEvent]
+) -> tuple[str, list[str], list[int], list[int], list[FixEvent]]:
     """Apply the fixes chosen among ``pending`` to ``text``.  Return the new
     text, its ``split_words`` parts and their ends, the index of each word
     that a fix's new span touches and of the word on either side, ascending

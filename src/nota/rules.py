@@ -4,10 +4,11 @@ Rule ids are stable public strings. Each rule is a pure function of its
 window, the text of a word and the texts of its neighbours, the lexicon
 and the rule tables; replacements converge: re-running a rule on its own
 replacement yields nothing. Every finding is a non-empty span at offset
-0 in its word, so it holds no whitespace.  ``_RuleSet.lint_words`` alone
-moves a finding to its word's place in the text; the map of findings
-back to the input in ``nota.pipeline`` and ``corpus.file_stats`` rely on
-each finding lying inside one word.
+0 in its word, so it holds no whitespace.  ``_RuleSet.lint_words`` yields
+a word's findings with the word's offset, and each caller moves them there
+in its own record: ``run_rules`` a ``Diagnostic``, the fix loop a
+``FixEvent``.  The map of findings back to the input in ``nota.pipeline``
+and ``corpus.file_stats`` rely on each finding lying inside one word.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. R-FUT reads the next
@@ -48,7 +49,7 @@ from enum import Enum, auto
 from functools import partial
 from itertools import compress
 from operator import attrgetter
-from typing import Callable, Collection, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon
 from .script import (
@@ -421,14 +422,6 @@ def windows(tokens: Tokens) -> list[RuleWindow]:
     return [_part_window(parts, i) for i in range(1, len(parts), 2)]
 
 
-def _shifted(found: Sequence[Diagnostic], base: int) -> list[Diagnostic]:
-    """Findings at offset 0, moved to a word that starts at ``base``."""
-    return [
-        Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
-        for d in found
-    ]
-
-
 class _RuleSet(dict):
     """The enabled rules of one configuration, as the memo of their
     findings per word text: ``rules[text]`` is ``(found, gated)``, the
@@ -482,28 +475,26 @@ class _RuleSet(dict):
 
     def lint_words(
         self, parts: list[str], ends: list[int], jobs: Sequence[int]
-    ) -> list[Diagnostic]:
-        """The findings of each word ``parts[i]``, ``i`` in ``jobs``, of a
-        ``split_words`` list whose parts end at ``ends``; in that order, a
-        word's findings together.  It lints the first pass, every word, and
-        each fix pass's words.
+    ) -> Iterator[tuple[int, tuple[Diagnostic, ...]]]:
+        """Yield ``(offset, found)`` for each word ``parts[i]`` with work,
+        ``i`` in ``jobs``, of a ``split_words`` list whose parts end at
+        ``ends``, in that order: the word's findings at offset 0, and the
+        offset where it starts in the text.  It lints the first pass, every
+        word, and each fix pass's words; each caller builds its own records
+        at ``offset``.
 
         The words are looked up in the memo in C-level passes, where a miss
         lints the word once, so a clean word takes no Python step: the loop
         runs only for words with work.  A window is built only for a word
-        with a context rule to run, and the word's findings, all at offset
-        0, are moved to its place in the text together: the one place where
-        a finding gets its text offset.
+        with a context rule to run.
         """
         entries = list(map(self.__getitem__, map(parts.__getitem__, jobs)))
-        out: list[Diagnostic] = []
         for i, (found, gated) in compress(zip(jobs, entries), entries):
             if gated:
                 window = _part_window(parts, i)
                 for rule in gated:
                     found += tuple(rule.body(window, self.lex, self.fused))
-            out += _shifted(found, ends[i - 1])
-        return out
+            yield ends[i - 1], found
 
 
 def run_rules(
@@ -515,12 +506,16 @@ def run_rules(
     """Run the enabled rules over all word windows, in deterministic order.
 
     That is ``lint_words`` of the rule set over every word of
-    ``tokens.parts``; the typed runs are never read.
+    ``tokens.parts``, each finding a ``Diagnostic`` at its word's offset;
+    the typed runs are never read.
     """
     parts = tokens.parts
-    out = _RuleSet.of(lex, enabled, fused_prepositions).lint_words(
-        parts, tokens.ends, range(1, len(parts), 2)
-    )
+    rules = _RuleSet.of(lex, enabled, fused_prepositions)
+    out = [
+        Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
+        for base, found in rules.lint_words(parts, tokens.ends, range(1, len(parts), 2))
+        for d in found
+    ]
     # Each rule's findings lie inside its window's word, so this order does
     # not depend on the order the rules ran in.
     out.sort(key=attrgetter("start", "rule"))

@@ -185,6 +185,24 @@ def test_romanize_bad_word_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command, data, expected", [
+    ("romanize", "بَاش\x0c\nڨ\n", "baːʃ\ng\n"),  # a form feed ends no line
+    ("translit", "f r i k\x1c\n", "فريك\n"),  # nor does a file separator
+    ("romanize", "ڨ\n\nبَاش\n", "g\n\nbaːʃ\n"),
+    ("romanize", "ڨ\r\n\r\nبَاش\r\n", "g\n\nbaːʃ\n"),
+    ("romanize", "ڨ\n\nبَاش", "g\n\nbaːʃ\n"),
+    ("romanize", "", ""),
+    ("romanize", "\n", "\n"),
+    ("translit", "f r i k . s a j\r\n", "فريكساي\n"),
+])
+def test_per_line_commands_split_at_line_feeds_only(tmp_path, capsys, command, data, expected):
+    """One output line per input line: a line ends at LF, or CRLF, alone,
+    and a final newline adds no line."""
+    src = tmp_path / "words.txt"
+    src.write_bytes(data.encode("utf-8"))
+    assert run(capsys, command, str(src)) == (0, expected, "")
+
+
 def test_lexicon_override_flag(tmp_path, capsys):
     # A custom known-words file changes R-SEP behaviour.
     known = tmp_path / "known_words.tsv"

@@ -157,6 +157,27 @@ def test_missing_path_rejected_as_missing(tmp_path, name):
         resolve_lexicon_paths([tmp_path / name])
 
 
+@pytest.mark.parametrize("role, data, error", [
+    ("known_words", "باش\u2028نمشي\n", "known_words:1: "),  # one line, not two words
+    ("verbs", "\x0c\nمشى\tيمشي\n", "verbs:2: "),  # a form feed ends no line
+    ("known_words", "باش\rنمشي\n", "known_words:1: "),  # nor does a lone CR
+])
+def test_role_file_lines_end_at_line_feeds_only(tmp_path, role, data, error):
+    path = tmp_path / f"{role}.tsv"
+    path.write_bytes(data.encode("utf-8"))
+    with pytest.raises(LexiconError, match=error):
+        default_lexicon(overrides={role: path})
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_role_file_comment_holds_its_whole_line(tmp_path, newline):
+    """The tail of a comment after U+0085 is comment, not data; LF and
+    CRLF files load alike."""
+    path = tmp_path / "known_words.tsv"
+    path.write_bytes(newline.join(["# note\x85tail", "", "باش", "نمشي", ""]).encode("utf-8"))
+    assert default_lexicon(overrides={"known_words": path}).known_words == {"باش", "نمشي"}
+
+
 def test_loading_is_deterministic():
     assert default_lexicon() == default_lexicon()
 

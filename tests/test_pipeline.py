@@ -21,7 +21,7 @@ from gen import (
     synthetic_lexicon,
     wide_text,
 )
-from nota import Config, ConfigError, Mode, default_lexicon, normalize
+from nota import Config, ConfigError, FixEvent, Mode, default_lexicon, normalize
 from nota.config import DEFAULT_CONFIG
 from nota.lexicon import Lexicon, load_lexicon
 from nota.pipeline import PassCapExceededError, _select_nonoverlapping
@@ -415,21 +415,58 @@ def test_fix_inside_a_word_relints_the_word_before(text):
 def test_fix_loop_lints_each_word_once_per_pass(monkeypatch):
     """باش lies between two words that pass 1 rewrites, R-ART's and
     R-CONS's; it is the word after the one and before the other, and is
-    re-linted once: its R-FUT finding comes back from the pass once.  The
-    first recorded call is the first pass, which lints every word."""
+    re-linted once: its R-FUT finding comes back from the pass once, at
+    its word's offset.  The first recorded call is the first pass, which
+    lints every word."""
     text = "اَلدار باش يگول"
     returned = []
     lint_words = nota.rules._RuleSet.lint_words
 
     def recording(*args):
-        returned.append(lint_words(*args))
+        returned.append(list(lint_words(*args)))
         return returned[-1]
 
     monkeypatch.setattr(nota.rules._RuleSet, "lint_words", recording)
     result = _run(text, GAF_VERB_LEXICON, Config())
     assert [f.rule for f in result.fixes if f.pass_index == 1] == ["R-CONS", "R-ART"]
-    assert [(d.rule, d.start) for d in returned[1]] == [("R-FUT", 6)]
+    assert [(d.rule, offset + d.start) for offset, found in returned[1] for d in found] == [
+        ("R-FUT", 6)
+    ]
     assert result == _run(text, GAF_VERB_LEXICON, Config(), pipeline_oracle.normalize)
+
+
+def test_fix_passes_build_no_diagnostic(monkeypatch, lex):
+    """After the first pass, a fixable finding becomes one ``FixEvent`` of
+    the pass that applies it, and a chosen one goes into the fix trace as
+    it is; no finding of a later pass becomes a ``Diagnostic``.  Pass 1
+    re-lints the first line's زززا, the word after a fix, and gets back
+    its Info R-AMQ finding from the memo, which CHECK warmed."""
+    text = "اَلدار زززا\nالدار زززا\n"
+    normalize(text, lex, mode=Mode.CHECK)
+    built = [0]
+    received: list[list] = []
+    init, rewrite = Diagnostic.__init__, nota.pipeline._rewrite
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def recording(text, pending):
+        received.append(list(pending))
+        return rewrite(text, pending)
+
+    monkeypatch.setattr(Diagnostic, "__init__", counting)
+    monkeypatch.setattr(nota.pipeline, "_rewrite", recording)
+    result = normalize(text, lex, mode=Mode.FIX)
+    assert [d.rule for d in result.diagnostics] == ["R-ART", "R-AMQ", "R-AMQ"]
+    assert built[0] == len(result.diagnostics)
+    assert received and all(
+        type(f) is FixEvent and f.pass_index == index
+        for index, pending in enumerate(received, start=1)
+        for f in pending
+    )
+    given = {id(f) for pending in received for f in pending}
+    assert result.fixes and all(id(f) in given for f in result.fixes)
 
 
 # R-PRON is the only rule that reads the previous word, and it is Info, so

@@ -837,7 +837,7 @@ def test_word_gate_on_wide_text(wide, name, fused):
     _assert_rules_find_nothing_where_the_gate_fails(texts, GATE_LEXICONS[name], [fused])
 
 
-# --- the offset-0 contract that lint_words' one shift relies on ---------------
+# --- the offset-0 contract that the one shift of lint_words' callers relies on
 
 
 def _with_hostile_docs(test):
@@ -860,8 +860,8 @@ def _with_hostile_docs(test):
 def test_findings_lie_in_their_word_at_offset_0(lex, seed, wide, neighbours, synthetic, fused):
     """Every rule finds non-empty spans inside its window's word, counted
     from the word's start, and free of whitespace, whatever the
-    neighbours: so ``lint_words`` places a word's findings in the text by
-    one shift, the offset where the word starts."""
+    neighbours: so a caller of ``lint_words`` places a word's findings in
+    the text by one shift, the offset where the word starts."""
     lexicon = SYNTHETIC if synthetic else lex
     fused = DEFAULT_FUSED_PREPOSITIONS if fused is None else fused
     rng = random.Random(seed)
