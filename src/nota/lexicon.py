@@ -124,29 +124,28 @@ class Lexicon:
         """{config key: rules._RuleSet}, the rule set and word memo of one configuration."""
         return {}
 
-    # --- queries (all take surface words, diacritics tolerated) ---------
+    # --- queries (all take skeletons: a rule window carries its word's) --
 
-    def lookup_citation_folded(self, word: str) -> VerbEntry | None:
-        return self._citation_folded.get(fold_final_alef(skeleton(word)))
+    def lookup_citation_folded(self, bare: str) -> VerbEntry | None:
+        return self._citation_folded.get(fold_final_alef(bare))
 
-    def lookup_irregular_imperative(self, word: str) -> VerbEntry | None:
-        return self._irregulars.get(skeleton(word))
+    def lookup_irregular_imperative(self, bare: str) -> VerbEntry | None:
+        return self._irregulars.get(bare)
 
-    def known_spelling_for(self, word: str) -> str | None:
+    def known_spelling_for(self, bare: str) -> str | None:
         """Listed spelling matching the word up to its final ا/ى letter."""
-        return self._known_folded.get(fold_final_alef(skeleton(word)))
+        return self._known_folded.get(fold_final_alef(bare))
 
-    def is_citation(self, word: str) -> bool:
-        return skeleton(word) in self.verbs
+    def is_citation(self, bare: str) -> bool:
+        return bare in self.verbs
 
-    def matches_imperfective(self, word: str) -> bool:
+    def matches_imperfective(self, bare: str) -> bool:
         """True if the word looks like a present-tense form of a listed verb.
 
         The stored 2sg/3sg forms match directly; other persons match by
         folding the person prefix (ي/ت/ن) and an optional plural suffix
         (و/وا) onto the stored present stem.
         """
-        bare = skeleton(word)
         if bare in self._present_forms:
             return True
         if len(bare) < 2 or bare[0] not in "".join(_IMPERFECTIVE_PREFIXES):
@@ -164,7 +163,7 @@ class Lexicon:
 
 def _clean_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+        line = raw.rstrip("\n").removesuffix("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield lineno, line

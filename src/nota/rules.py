@@ -1,14 +1,15 @@
 """The NOTA rules as independent detectors producing span diagnostics.
 
 Rule ids are stable public strings. Each rule is a pure function of its
-window, the text of a word and the texts of its neighbours, the lexicon
-and the rule tables; replacements converge: re-running a rule on its own
-replacement yields nothing. Every finding is a non-empty span at offset
-0 in its word, so it holds no whitespace.  ``_RuleSet.lint_words`` yields
-a word's findings with the word's offset, and each caller moves them there
-in its own record: ``run_rules`` a ``Diagnostic``, the fix loop a
-``FixEvent``.  The map of findings back to the input in ``nota.pipeline``
-and ``corpus.file_stats`` rely on each finding lying inside one word.
+window, the text of a word, its skeleton and the texts of its
+neighbours, the lexicon and the rule tables; replacements converge:
+re-running a rule on its own replacement yields nothing. Every finding
+is a non-empty span at offset 0 in its word, so it holds no whitespace.
+``_RuleSet.lint_words`` yields a word's findings with the word's offset,
+and each caller moves them there in its own record: ``run_rules`` a
+``Diagnostic``, the fix loop a ``FixEvent``.  The map of findings back
+to the input in ``nota.pipeline`` and ``corpus.file_stats`` rely on each
+finding lying inside one word.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. R-FUT reads the next
@@ -19,7 +20,9 @@ entry holds the word rules' findings and the context rules to run on its
 window.  ``_RuleSet.lint_words`` looks words up there: over every word of
 the text's ``split_words`` parts in the first pass (``run_rules``), and
 over the words each fix pass may have changed; it takes a window's texts
-from the parts around its word.
+from the parts around its word.  A window carries its word's skeleton,
+so no rule takes it again: ``__missing__`` takes it once for the gates
+and the word rules, and ``_part_window`` once per window it builds.
 
 ``_RULES`` is the one table of the rules: by id, in priority order, each
 rule's body and, for a context rule, its gate.  Declaring a rule takes
@@ -93,10 +96,11 @@ class Diagnostic:
 
 
 class RuleWindow(NamedTuple):
-    """A word's text with the texts of its neighbouring words (across spaces
-    only)."""
+    """A word's text and its skeleton, with the texts of its neighbouring
+    words (across spaces only)."""
 
     word: str
+    bare: str
     prev_word: str | None = None
     next_word: str | None = None
 
@@ -150,7 +154,7 @@ def rule_cons(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
                     )
                 )
     if not out:
-        bare = skeleton(word)
+        bare = window.bare
         respelled = lex.gaf_words.get(bare)
         if respelled and respelled != bare:
             out.append(
@@ -198,8 +202,7 @@ def rule_art(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
 
 def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-AMQ: final ى iff the verb's present 3sg ends in long /i/, else ا."""
-    word = window.word
-    bare = skeleton(word)
+    word, bare = window.word, window.bare
     if not bare or bare[-1] not in (ALEF, ALEF_MAQSURA):
         return []
     entry = lex.lookup_citation_folded(bare)
@@ -222,12 +225,12 @@ def rule_amq(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
 
 def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-IMP: irregular imperatives regularize to 2sg-present minus ت."""
-    word = window.word
-    entry = lex.lookup_irregular_imperative(word)
+    word, bare = window.word, window.bare
+    entry = lex.lookup_irregular_imperative(bare)
     if entry is None or not entry.present_2sg or not entry.present_2sg.startswith(TEH):
         return []
     regular = entry.present_2sg[1:]
-    if regular == skeleton(word):
+    if regular == bare:
         return []
     return [
         Diagnostic(
@@ -251,8 +254,8 @@ def _pron_gate(bare: str) -> bool:
 
 def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-FUT: باش before an imperfective verb is the future marker بش."""
-    word, nxt = window.word, window.next_word
-    if not _fut_gate(skeleton(word)) or nxt is None or not lex.matches_imperfective(nxt):
+    word, bare, nxt = window.word, window.bare, window.next_word
+    if not _fut_gate(bare) or nxt is None or not lex.matches_imperfective(skeleton(nxt)):
         return []
     return [
         Diagnostic(
@@ -271,12 +274,10 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
 
     The sentence is genuinely ambiguous, so this is informational only.
     """
-    word = window.word
-    bare = skeleton(word)
+    word, bare, prev = window.word, window.bare, window.prev_word
     # Each candidate below is ``bare`` or its tail, so ends as ``bare`` does.
     if not _pron_gate(bare):
         return []
-    prev = window.prev_word
     prev_bare = skeleton(prev) if prev is not None else None
 
     candidates: list[tuple[str, str]] = []
@@ -303,8 +304,7 @@ def rule_pron(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
 
 def rule_sep(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
     """R-SEP: prepositions and the conjunction و stay separate words."""
-    word = window.word
-    bare = skeleton(word)
+    word, bare = window.word, window.bare
     known = lex.known_words
     if len(bare) < 2 or bare in known or bare in lex.prepositions:
         return []
@@ -401,12 +401,13 @@ _new_window = partial(tuple.__new__, RuleWindow)
 
 
 def _part_window(parts: list[str], i: int) -> RuleWindow:
-    """The window of the word ``parts[i]`` in a ``split_words`` list: the
-    word next to it across spaces only is two parts away, past a gap of
-    spaces."""
+    """The window of the word ``parts[i]`` in a ``split_words`` list, with
+    the word's skeleton: the word next to it across spaces only is two
+    parts away, past a gap of spaces."""
+    word = parts[i]
     prev = parts[i - 2] if i > 1 and parts[i - 1].isspace() else None
     nxt = parts[i + 2] if i + 2 < len(parts) and parts[i + 1].isspace() else None
-    return _new_window((parts[i], prev, nxt))
+    return _new_window((word, skeleton(word), prev, nxt))
 
 
 def windows(tokens: Tokens) -> list[RuleWindow]:
@@ -462,7 +463,7 @@ class _RuleSet(dict):
         bare = skeleton(text)
         found: tuple[Diagnostic, ...] = ()
         if self.word_rules and _word_gate(text, bare, lex):
-            alone = RuleWindow(text)
+            alone = _new_window((text, bare, None, None))
             found = tuple(d for rule in self.word_rules for d in rule(alone, lex, self.fused))
         gated: tuple = ()
         for rule in self.context_rules:

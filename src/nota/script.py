@@ -24,7 +24,6 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum, auto
-from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -198,12 +197,11 @@ def classify(ch: str) -> CharClass:
     return CharClass.UNKNOWN
 
 
-@lru_cache(maxsize=4096)
 def skeleton(text: str) -> str:
     """The bare letter skeleton: every Arabic mark removed, canonical or not.
 
-    Memoised for the 4,096 most recent texts: the rules and the lexicon
-    take the skeleton of the same few thousand words over and over.
+    No cache: a rule set takes a word's skeleton once per window and hands
+    it to the rules there, so no per-word state outlives its Lexicon.
     """
     return text.translate(_SKELETON)
 

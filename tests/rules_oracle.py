@@ -18,7 +18,9 @@ at offset 0 in its word, and moves their findings to the word's token.
 ``iter_clusters``, which ``rule_art`` walked, is a verbatim copy of the
 one ``nota.script`` had.
 ``rule_fut`` is R-FUT as it was before its test on the word moved into
-a gate that ``run_rules`` shares; with ``rule_pron`` it is what the
+a gate that ``run_rules`` shares, except that it hands
+``matches_imperfective`` the next word's skeleton, as the Lexicon's
+lookups now take skeletons; with ``rule_pron`` it is what the
 context-rule gates are checked against.  ``text_window`` and
 ``token_window`` turn one window into the other.
 """
@@ -61,16 +63,18 @@ class TokenWindow(NamedTuple):
 
 
 def text_window(window: TokenWindow) -> RuleWindow:
-    """The window the rules of ``nota.rules`` get: the tokens' texts."""
-    prev, nxt = window.prev_word, window.next_word
-    return RuleWindow(window.word.text, prev and prev.text, nxt and nxt.text)
+    """The window the rules of ``nota.rules`` get: the tokens' texts, and
+    the word's skeleton by ``skeleton``."""
+    word, prev, nxt = window
+    return RuleWindow(word.text, skeleton(word.text), prev and prev.text, nxt and nxt.text)
 
 
 def token_window(window: RuleWindow) -> TokenWindow:
     """A window of ``nota.rules`` as the bodies here read it, each text a
-    word token at offset 0."""
+    word token at offset 0; the bodies here take the skeleton themselves."""
+    texts = (window.word, window.prev_word, window.next_word)
     return TokenWindow(
-        *(None if text is None else Token(TokenKind.WORD, text, 0, len(text)) for text in window)
+        *(None if text is None else Token(TokenKind.WORD, text, 0, len(text)) for text in texts)
     )
 
 
@@ -302,7 +306,7 @@ def rule_fut(window: TokenWindow, lex: Lexicon, fused: Mapping[str, str]) -> lis
     if skeleton(word.text) != "باش":
         return []
     nxt = window.next_word
-    if nxt is None or not lex.matches_imperfective(nxt.text):
+    if nxt is None or not lex.matches_imperfective(skeleton(nxt.text)):
         return []
     return [
         Diagnostic(

@@ -161,6 +161,7 @@ def test_missing_path_rejected_as_missing(tmp_path, name):
     ("known_words", "باش\u2028نمشي\n", "known_words:1: "),  # one line, not two words
     ("verbs", "\x0c\nمشى\tيمشي\n", "verbs:2: "),  # a form feed ends no line
     ("known_words", "باش\rنمشي\n", "known_words:1: "),  # nor does a lone CR
+    ("verbs", "مشا\tيمشي\t1\r\r\n", "verbs:1: "),  # a CRLF ends in one CR
 ])
 def test_role_file_lines_end_at_line_feeds_only(tmp_path, role, data, error):
     path = tmp_path / f"{role}.tsv"

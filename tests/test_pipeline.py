@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from operator import attrgetter
 
@@ -26,7 +28,7 @@ from nota.config import DEFAULT_CONFIG
 from nota.lexicon import Lexicon, load_lexicon
 from nota.pipeline import PassCapExceededError, _select_nonoverlapping
 from nota.rules import DEFAULT_FUSED_PREPOSITIONS, RULE_PRIORITY, Diagnostic, Severity
-from nota.script import canonicalize, skeleton
+from nota.script import FATHA, canonicalize, skeleton
 from nota.tokenize import TokenKind, tokenize
 
 soup = st.text(
@@ -619,6 +621,25 @@ def test_normalize_linear_on_hostile_sizes(name, mode):
     start = time.perf_counter()
     normalize(HOSTILE_DOCS[name], lexicon, mode=mode)
     assert time.perf_counter() - start < 5.0
+
+
+def test_check_keeps_nothing_of_a_long_word_once_dropped():
+    """A CHECK of one word of 1M characters, with a fresh lexicon, keeps
+    nothing of the word or its skeleton alive once the lexicon and the
+    result are dropped: no per-word state outlives the Lexicon that holds
+    the rule memo."""
+    text = ("كتاب" + FATHA) * 200_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lexicon = default_lexicon()
+        result = normalize(text, lexicon, mode=Mode.CHECK)
+        del lexicon, result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < len(text) / 10, kept
 
 
 # Words that carry two fixable findings each (كتابٌ one), and clean words.

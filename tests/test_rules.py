@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nota.lexicon
 import nota.rules
 import rules_oracle
 from gen import (
@@ -480,6 +481,27 @@ def test_rules_run_once_per_distinct_word(monkeypatch):
     assert sorted(seen) == sorted(words(text) | words(result.output))
 
 
+def test_each_word_takes_its_skeleton_once(monkeypatch):
+    """A CHECK takes the skeleton of each distinct word once, for its gates
+    and its window, however many rules and lexicon lookups read it: here
+    each word ends in ا, so the word rules run on it, and no context rule's
+    gate passes."""
+    letters = "بتجدرسفكلمنه"
+    words = [f"ك{a}{b}ا" for a in letters for b in letters]
+    lexicon = default_lexicon()
+    assert all(_word_gate(w, w, lexicon) for w in words)
+    calls: list[str] = []
+
+    def counted(text):
+        calls.append(text)
+        return skeleton(text)
+
+    monkeypatch.setattr(nota.rules, "skeleton", counted)
+    monkeypatch.setattr(nota.lexicon, "skeleton", counted)
+    normalize(" ".join(words), lexicon, mode=Mode.CHECK)
+    assert sorted(calls) == sorted(words)
+
+
 def test_rule_memo_follows_lexicon_and_config(lex):
     def found(text, lexicon=lex, **kwargs):
         return [(d.rule, d.replacement) for d in run_rules(tokenize(text), lexicon, **kwargs)]
@@ -505,8 +527,8 @@ def test_word_rules_ignore_neighbours(lex, seed, wide, synthetic, fused):
     words = [t.text for t in tokenize(text) if t.kind is TokenKind.WORD]
     neighbours = [None, *words, *(tokenize(w)[0].text for w in DIRTY_WORDS)]
     for window in windows(tokenize(text)):
-        alone = RuleWindow(window.word)
-        other = RuleWindow(window.word, rng.choice(neighbours), rng.choice(neighbours))
+        alone = RuleWindow(window.word, window.bare)
+        other = RuleWindow(window.word, window.bare, rng.choice(neighbours), rng.choice(neighbours))
         for rid, rule in WORD_RULES.items():
             expected = rule(alone, lexicon, fused)
             assert rule(window, lexicon, fused) == expected, rid
@@ -544,7 +566,7 @@ def test_context_rule_finds_nothing_where_its_gate_fails(lex, rid):
             if gate(skeleton(text)):
                 continue
             for neighbour in [None, *texts]:
-                window = RuleWindow(text, neighbour, neighbour)
+                window = RuleWindow(text, skeleton(text), neighbour, neighbour)
                 found = oracle(rules_oracle.token_window(window), lexicon, fused)
                 assert rule(window, lexicon, fused) == [] == found, window
 
@@ -714,7 +736,7 @@ def _sep_case(draw):
 def test_sep_matches_oracle_on_random_lexicons(case):
     lexicon, fused, words = case
     for text in words:
-        window = RuleWindow(text)
+        window = RuleWindow(text, skeleton(text))
         expected = rules_oracle.rule_sep(rules_oracle.token_window(window), lexicon, fused)
         assert rule_sep(window, lexicon, fused) == expected, text
 
@@ -786,7 +808,7 @@ def _assert_rules_find_nothing_where_the_gate_fails(texts, lexicon, fused_maps) 
             if word.kind is not TokenKind.WORD or _word_gate(word.text, skeleton(word.text), lexicon):
                 continue
             closed += 1
-            window = RuleWindow(word.text)
+            window = RuleWindow(word.text, skeleton(word.text))
             tokens = rules_oracle.token_window(window)
             for rid, rule in WORD_RULES.items():
                 for fused in fused_maps:
@@ -869,7 +891,8 @@ def test_findings_lie_in_their_word_at_offset_0(lex, seed, wide, neighbours, syn
     texts.append(canonicalize(wide).text)
     words = list(dict.fromkeys(w for text in texts for w in split_words(text)[1::2]))
     for word in words:
-        window = RuleWindow(word, rng.choice(neighbours + words), rng.choice(neighbours + words))
+        prev, nxt = rng.choice(neighbours + words), rng.choice(neighbours + words)
+        window = RuleWindow(word, skeleton(word), prev, nxt)
         for rid, rule in _RULES.items():
             for d in rule.body(window, lexicon, fused):
                 assert 0 <= d.start < d.end <= len(word), (rid, window, d)

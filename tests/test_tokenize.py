@@ -19,7 +19,7 @@ from nota.lexicon import default_lexicon
 from nota.pipeline import Mode, normalize
 from nota.rules import RULE_IDS, windows
 from nota.script import WORD_CHARS, skeleton
-from nota.tokenize import _SPACE_CHARS, TokenKind, split_words, tokenize
+from nota.tokenize import TokenKind, split_words, tokenize
 
 any_text = st.text(max_size=80)
 mixed_text = st.text(
@@ -98,10 +98,6 @@ def test_tokens_and_windows_match_oracles_on_every_code_point():
     tokens = tokenize(text)
     assert tokens == tokenize_oracle.tokenize(text)
     assert windows(tokens) == list(map(rules_oracle.text_window, rules_oracle.windows(tokens)))
-
-
-def test_space_table_is_str_isspace():
-    assert set(_SPACE_CHARS) == {ch for ch in map(chr, range(0x110000)) if ch.isspace()}
 
 
 def test_tokenize_keeps_no_per_character_state():
@@ -195,8 +191,8 @@ def test_tokens_hold_the_parts_and_view_the_runs(text):
 def test_lint_core_builds_no_typed_runs(monkeypatch, tmp_path):
     """``normalize`` in both modes and ``collect_stats`` read only the
     parts: none of them builds the typed runs, and every rule gets a window
-    of strings.  Each run has a fresh lexicon, so that no rule memo keeps
-    a rule from running."""
+    of strings that carries its word's skeleton.  Each run has a fresh
+    lexicon, so that no rule memo keeps a rule from running."""
     def refuse(text):
         raise AssertionError("the typed runs were built")
 
@@ -206,6 +202,7 @@ def test_lint_core_builds_no_typed_runs(monkeypatch, tmp_path):
         def run(window, lex, fused):
             assert type(window.word) is str, (rid, window)
             assert all(t is None or type(t) is str for t in window[1:]), (rid, window)
+            assert window.bare == skeleton(window.word), (rid, window)
             ran.add(rid)
             return body(window, lex, fused)
         return run
