@@ -218,7 +218,7 @@ def _parse_verbs(lines: Iterable[str], source: str) -> dict[str, VerbEntry]:
 def _parse_word_list(lines: Iterable[str], source: str) -> frozenset[str]:
     words = set()
     for lineno, line in _clean_lines(lines):
-        words.add(_require_word(line.strip(), source, lineno, "word"))
+        words.add(_require_word(line, source, lineno, "word"))
     return frozenset(words)
 
 
@@ -243,7 +243,7 @@ def _check_variant(variant: str, canonical: str, where: str) -> None:
 def _parse_variant_map(lines: Iterable[str], source: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, cols in _rows(lines, source, range(2, 3), "expected 2 columns: variant, canonical"):
-        variant, canonical = cols[0].strip(), cols[1].strip()
+        variant, canonical = cols
         _check_variant(variant, canonical, f"{source}:{lineno}")
         if variant in mapping:
             raise DuplicateEntryError(f"{source}:{lineno}: duplicate variant {variant!r}")

@@ -21,8 +21,8 @@ window.  ``_RuleSet.lint_words`` looks words up there: over every word of
 the text's ``split_words`` parts in the first pass (``run_rules``), and
 over the words each fix pass may have changed; it takes a window's texts
 from the parts around its word.  A window carries its word's skeleton,
-so no rule takes it again: ``__missing__`` takes it once for the gates
-and the word rules, and ``_part_window`` once per window it builds.
+so no rule takes it again: a batch of memo misses takes it once for the
+gates and the word rules, and ``_part_window`` once per window it builds.
 
 ``_RULES`` is the one table of the rules: by id, in priority order, each
 rule's body and, for a context rule, its gate.  Declaring a rule takes
@@ -31,13 +31,13 @@ its body, named ``rule_`` and its id's suffix in lower case, one
 ``RULE_IDS`` and the rule sets that ``run_rules`` and the fix loop use
 are derived from the table.
 
-The word rules share one gate, ``_word_gate``, on a word's text and
-skeleton: a non-NOTA mark or Kasra before Alef, a marked article, a
-variant letter or a listed /g/ word, a final ا or ى, a listed irregular
-imperative, or a proper suffix that is a known word.  Every word-rule
-finding implies it, so on a memo miss a word where it is false gets no
-window and no rule call; tests/test_rules.py pins that soundness
-against the rules and their oracle.
+The word rules share one gate on a word's text and skeleton: a non-NOTA
+mark or Kasra before Alef, a marked article, a variant letter or a listed
+/g/ word, a final ا or ى, a listed irregular imperative, or a proper
+suffix that is a known word.  Every word-rule finding implies it.  A batch
+of memo misses runs it, and each context rule's gate, as C-level passes
+over all of its words, and a Python step only for a word that passes one;
+tests/test_rules.py pins both against the rules and ``rules_oracle``.
 
 Severities drive fix mode: Error fixes are always safe to apply,
 Warning fixes carry lexicon evidence, Info is a suggestion only (the
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 from functools import partial
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Sequence
 
 from .lexicon import Lexicon
@@ -244,12 +244,9 @@ def rule_imp(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list
     ]
 
 
-def _fut_gate(bare: str) -> bool:
-    return bare == "باش"
-
-
-def _pron_gate(bare: str) -> bool:
-    return bare.endswith("وش")
+# The context rules' gates, C-level callables on a skeleton.
+_fut_gate = "باش".__eq__
+_pron_gate = methodcaller("endswith", "وش")
 
 
 def rule_fut(window: RuleWindow, lex: Lexicon, fused: Mapping[str, str]) -> list[Diagnostic]:
@@ -369,31 +366,12 @@ RULE_PRIORITY = tuple(_RULES)
 RULE_IDS = frozenset(_RULES)
 
 
-def _word_gate(text: str, bare: str, lex: Lexicon) -> bool:
-    """Whether a word rule can find anything in the word ``text`` with
-    skeleton ``bare``: false means that all six return []."""
-    if (
-        _BAD_VOWEL.search(text)  # R-VOW
-        or (m := _ARTICLE.match(text)) and m.end() > 2  # R-ART
-        or not lex.variant_map.keys().isdisjoint(text)  # R-CONS
-        or bare in lex.gaf_words
-        or bare.endswith((ALEF, ALEF_MAQSURA))  # R-AMQ
-        or bare in lex._irregulars  # R-IMP
-    ):
-        return True
-    # R-SEP: what follows its split is a known word, bare or after ال, so
-    # a proper suffix of the word is one.
-    known = lex.known_words
-    for r in lex._known_lengths:
-        if r >= len(bare):
-            break
-        if bare[-r:] in known:
-            return True
-    return False
-
-
 # Distinct words a rule set holds before it is emptied.
 _WORD_MEMO_CAP = 4096
+_CHUNK = 1024  # misses per run of the gates: few, so that each pass finds them in cache
+# What the gates of R-AMQ and R-SEP read: a skeleton's last letter, its tail.
+_FINALS = frozenset((ALEF, ALEF_MAQSURA))
+_last, _tail = itemgetter(slice(-1, None)), itemgetter(slice(1, None))
 
 
 # A NamedTuple's own ``__new__`` is a Python function.
@@ -428,14 +406,15 @@ class _RuleSet(dict):
     findings per word text: ``rules[text]`` is ``(found, gated)``, the
     word rules' findings at offset 0 and the context rules whose gate the
     word's skeleton passes, or ``()`` for a clean word, one with neither.
-    A miss lints the word; the memo holds at most ``_WORD_MEMO_CAP`` words.
+    A miss only records the word in ``pending`` and holds ``()`` for it:
+    ``lint_words`` lints its misses as one batch, so each once.
 
     ``of`` gives the rule set that ``lex`` keeps for a configuration; one
     of another configuration takes its place.  The rule set and its
     lexicon hold each other, a reference cycle that the cyclic GC frees.
     """
 
-    __slots__ = ("lex", "word_rules", "context_rules", "fused")
+    __slots__ = ("lex", "word_rules", "context_rules", "fused", "pending", "marked")
 
     @classmethod
     def of(
@@ -457,22 +436,67 @@ class _RuleSet(dict):
         self.lex, self.fused = lex, fused
         self.word_rules = [rule.body for rule in active if rule.gate is None]
         self.context_rules = [rule for rule in active if rule.gate]
+        self.pending: list[str] = []
+        # The word gate's tests on the text: R-VOW's findings, a variant letter
+        # and a marked article at the start of a line: of a word, alone or in
+        # a batch joined by line feeds.
+        variants = char_class(ARABIC_MARKS - NOTA_MARKS | lex.variant_map.keys())
+        marks = f"{KASRA}(?={ALEF})|[{variants}]|^{ALEF}(?:[{_MARKS}]+{LAM}|{LAM}[{_MARKS}])"
+        self.marked = re.compile(marks, re.M).search
 
     def __missing__(self, text: str) -> tuple:
-        lex = self.lex
-        bare = skeleton(text)
-        found: tuple[Diagnostic, ...] = ()
-        if self.word_rules and _word_gate(text, bare, lex):
-            alone = _new_window((text, bare, None, None))
-            found = tuple(d for rule in self.word_rules for d in rule(alone, lex, self.fused))
-        gated: tuple = ()
-        for rule in self.context_rules:
-            if rule.gate(bare):
-                gated += (rule,)
-        if len(self) >= _WORD_MEMO_CAP:
+        self.pending.append(text)
+        self[text] = ()
+        return ()
+
+    def _lint_misses(self, pending: list[str]) -> dict[str, tuple]:
+        """The entries of the words with work among the misses ``pending``,
+        put in the memo, emptied first if it is over the cap, if they fit.
+        A batch that raises leaves the memo empty."""
+        self.pending = []
+        batch: dict[str, tuple] = {}
+        try:
+            for k in range(0, len(pending), _CHUNK):
+                batch.update(self._lint_chunk(pending[k : k + _CHUNK]))
+        except BaseException:
             self.clear()
-        entry = self[text] = (found, gated) if found or gated else ()
-        return entry
+            raise
+        if len(self) > _WORD_MEMO_CAP:
+            self.clear()
+            if len(pending) > _WORD_MEMO_CAP:
+                return batch
+            self.update(dict.fromkeys(pending, ()))
+        self.update(batch)
+        return batch
+
+    def _lint_chunk(self, words: list[str]) -> dict[str, tuple]:
+        lex = self.lex
+        # Word runs hold no whitespace, so the line feed parts them.
+        joined = "\n".join(words)
+        bares = skeleton(joined).split("\n")
+        unique = set(bares)
+        # A test that few words pass: one search of them all tells whether any does.
+        marked = {}
+        if self.marked(joined):
+            marked = dict(compress(zip(words, bares), map(self.marked, words)))
+        opened = unique & lex.gaf_words.keys() | unique & lex._irregulars.keys()
+        opened.update(compress(unique, map(_FINALS.__contains__, map(_last, unique))))
+        known = lex.known_words
+        for r in lex._known_lengths:
+            cut = itemgetter(slice(-r, None))
+            if not known.isdisjoint(map(cut, unique)):
+                opened.update(compress(unique, map(known.__contains__, map(cut, map(_tail, unique)))))
+        work: dict[str, tuple] = {}
+        for text, bare in marked.items() | compress(zip(words, bares), map(opened.__contains__, bares)):
+            alone = _new_window((text, bare, None, None))
+            if found := tuple(d for rule in self.word_rules for d in rule(alone, lex, self.fused)):
+                work[text] = (found, ())
+        for rule in self.context_rules:
+            if passed := set(filter(rule.gate, unique)):
+                for text in compress(words, map(passed.__contains__, bares)):
+                    found, gated = work.get(text, ((), ()))
+                    work[text] = (found, (*gated, rule))
+        return work
 
     def lint_words(
         self, parts: list[str], ends: list[int], jobs: Sequence[int]
@@ -484,12 +508,15 @@ class _RuleSet(dict):
         word, and each fix pass's words; each caller builds its own records
         at ``offset``.
 
-        The words are looked up in the memo in C-level passes, where a miss
-        lints the word once, so a clean word takes no Python step: the loop
-        runs only for words with work.  A window is built only for a word
-        with a context rule to run.
+        The words are looked up in the memo in C-level passes, and the
+        misses linted as one batch, so a clean word takes no Python step:
+        the loop runs only for words with work.  A window is built only for
+        a word with a context rule to run.
         """
         entries = list(map(self.__getitem__, map(parts.__getitem__, jobs)))
+        if self.pending:
+            batch = self._lint_misses(self.pending)
+            entries = list(map(batch.get, map(parts.__getitem__, jobs), entries))
         for i, (found, gated) in compress(zip(jobs, entries), entries):
             if gated:
                 window = _part_window(parts, i)

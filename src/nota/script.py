@@ -152,7 +152,6 @@ WORD_CHARS = frozenset(
     ch for ch in _chars_in(_ARABIC_RANGES) if unicodedata.category(ch) in ("Lo", "Lm", "Mn")
 )
 _PRESENTATION_FORMS = frozenset(_chars_in(_ARABIC_RANGES[3:]))
-_SKELETON = dict.fromkeys(map(ord, ARABIC_MARKS))
 
 
 def char_class(chars: frozenset[str]) -> str:
@@ -168,6 +167,9 @@ def char_class(chars: frozenset[str]) -> str:
         f"\\U{cps[lo]:08x}-\\U{cps[hi - 1]:08x}"
         for lo, hi in zip([0, *breaks], [*breaks, len(cps)])
     )
+
+
+_MARK = re.compile(f"[{char_class(ARABIC_MARKS)}]")
 
 
 def classify(ch: str) -> CharClass:
@@ -200,10 +202,10 @@ def classify(ch: str) -> CharClass:
 def skeleton(text: str) -> str:
     """The bare letter skeleton: every Arabic mark removed, canonical or not.
 
-    No cache: a rule set takes a word's skeleton once per window and hands
-    it to the rules there, so no per-word state outlives its Lexicon.
+    No cache: a rule set takes the skeletons of its memo misses in one call
+    per chunk, on their texts joined by line feeds, and hands them to the rules.
     """
-    return text.translate(_SKELETON)
+    return _MARK.sub("", text)
 
 
 # --- canonicalization ----------------------------------------------------

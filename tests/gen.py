@@ -131,6 +131,17 @@ def random_text(rng: random.Random, lexicon_words: list[str]) -> str:
     return "".join(pieces)
 
 
+def vocabulary_text(rng: random.Random, size: int) -> str:
+    """A document of ``size`` distinct random words, each twice, in a
+    seeded order, eight to a line."""
+    words: set[str] = set()
+    while len(words) < size:
+        words.add(random_word(rng, 2, 7))
+    doc = sorted(words) * 2
+    rng.shuffle(doc)
+    return "".join(w + ("\n" if i % 8 == 7 else " ") for i, w in enumerate(doc))
+
+
 def lexicon_word_pool(lex: Lexicon) -> list[str]:
     words = set(lex.known_words) | set(lex.prepositions)
     for entry in lex.verbs.values():

@@ -21,8 +21,10 @@ one ``nota.script`` had.
 a gate that ``run_rules`` shares, except that it hands
 ``matches_imperfective`` the next word's skeleton, as the Lexicon's
 lookups now take skeletons; with ``rule_pron`` it is what the
-context-rule gates are checked against.  ``text_window`` and
-``token_window`` turn one window into the other.
+context-rule gates are checked against.  ``word_gate`` is the word
+rules' gate as ``nota.rules`` ran it on each memo miss before it linted
+a call's misses as one batch; it is the oracle of that batch's gate.
+``text_window`` and ``token_window`` turn one window into the other.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from typing import Mapping, NamedTuple
 from nota.lexicon import Lexicon
 from nota.pipeline import _PRIORITY_INDEX
 from nota.rules import (
+    _ARTICLE,
+    _BAD_VOWEL,
     _RULES,
     DEFAULT_FUSED_PREPOSITIONS,
     RULE_PRIORITY,
@@ -76,6 +80,29 @@ def token_window(window: RuleWindow) -> TokenWindow:
     return TokenWindow(
         *(None if text is None else Token(TokenKind.WORD, text, 0, len(text)) for text in texts)
     )
+
+
+def word_gate(text: str, bare: str, lex: Lexicon) -> bool:
+    """Whether a word rule can find anything in the word ``text`` with
+    skeleton ``bare``: false means that all six return []."""
+    if (
+        _BAD_VOWEL.search(text)  # R-VOW
+        or (m := _ARTICLE.match(text)) and m.end() > 2  # R-ART
+        or not lex.variant_map.keys().isdisjoint(text)  # R-CONS
+        or bare in lex.gaf_words
+        or bare.endswith((ALEF, ALEF_MAQSURA))  # R-AMQ
+        or bare in lex._irregulars  # R-IMP
+    ):
+        return True
+    # R-SEP: what follows its split is a known word, bare or after ال, so
+    # a proper suffix of the word is one.
+    known = lex.known_words
+    for r in lex._known_lengths:
+        if r >= len(bare):
+            break
+        if bare[-r:] in known:
+            return True
+    return False
 
 
 def windows(tokens: list[Token]) -> list[TokenWindow]:

@@ -162,11 +162,29 @@ def test_missing_path_rejected_as_missing(tmp_path, name):
     ("verbs", "\x0c\nمشى\tيمشي\n", "verbs:2: "),  # a form feed ends no line
     ("known_words", "باش\rنمشي\n", "known_words:1: "),  # nor does a lone CR
     ("verbs", "مشا\tيمشي\t1\r\r\n", "verbs:1: "),  # a CRLF ends in one CR
+    ("known_words", "باش\r\r\n", "known_words:1: "),
+    ("prepositions", "في\nباش\r\r\n", "prepositions:2: "),
+    ("variant_map", "گ\tڨ\r\r\n", "variant_map:1: "),
 ])
 def test_role_file_lines_end_at_line_feeds_only(tmp_path, role, data, error):
     path = tmp_path / f"{role}.tsv"
     path.write_bytes(data.encode("utf-8"))
     with pytest.raises(LexiconError, match=error):
+        default_lexicon(overrides={role: path})
+
+
+@pytest.mark.parametrize("role, data", [
+    ("known_words", "باش \n"),
+    ("prepositions", " في\n"),
+    ("variant_map", "گ\t ڨ\n"),
+    ("variant_map", "گ \tڨ\n"),
+])
+def test_role_file_field_holds_no_padding(tmp_path, role, data):
+    """A word field is the word alone, in every role file: spaces or a
+    tab around it are rejected at its line, not stripped."""
+    path = tmp_path / f"{role}.tsv"
+    path.write_bytes(data.encode("utf-8"))
+    with pytest.raises(LexiconError, match=f"{role}:1: "):
         default_lexicon(overrides={role: path})
 
 

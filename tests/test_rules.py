@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 
@@ -19,19 +20,22 @@ from gen import (
     random_text,
     random_word,
     synthetic_lexicon,
+    vocabulary_text,
     wide_text,
 )
 from nota.lexicon import Lexicon, VerbEntry, default_lexicon
 from nota.pipeline import Mode, normalize
 from nota.rules import (
     _RULES,
+    _Rule,
+    _RuleSet,
     _WORD_MEMO_CAP,
-    _word_gate,
     DEFAULT_FUSED_PREPOSITIONS,
     RULE_IDS,
     RULE_PRIORITY,
     RuleWindow,
     Severity,
+    rule_amq,
     rule_cons,
     rule_sep,
     run_rules,
@@ -454,6 +458,52 @@ def test_rule_memo_stays_within_cap():
         assert sum(len(memo) for memo in lexicon._rule_memo.values()) <= _WORD_MEMO_CAP
 
 
+def test_large_vocabulary_lints_each_word_once(monkeypatch):
+    """A call's misses are linted as one batch, so a word that recurs in
+    it reaches ``__missing__`` once, however many distinct words the call
+    has, and the memo is back within its cap after it."""
+    lexicon = synthetic_lexicon(random.Random(13))
+    text = vocabulary_text(random.Random(17), _WORD_MEMO_CAP + 500)
+    tokens = tokenize(text)
+    expected = rules_oracle.run_rules(tokens, lexicon)
+    seen: Counter[str] = Counter()
+    missing = _RuleSet.__missing__
+
+    def counted(rules, word):
+        seen[word] += 1
+        return missing(rules, word)
+
+    monkeypatch.setattr(_RuleSet, "__missing__", counted)
+    assert run_rules(tokens, lexicon) == expected
+    assert seen == Counter(set(tokens.parts[1::2]))
+    assert len(seen) > _WORD_MEMO_CAP
+    assert sum(len(memo) for memo in lexicon._rule_memo.values()) <= _WORD_MEMO_CAP
+
+
+def test_batch_that_raises_leaves_no_placeholder(monkeypatch, lex):
+    """A rule that raises mid-batch leaves none of the batch's words in
+    the memo, so the next CHECK lints them again."""
+    letters = "بتجدرسفكلمنه"
+    words = [f"ك{a}{b}ا" for a in letters for b in letters]  # R-AMQ reads each
+    tokens = tokenize(" ".join(words * 2))
+    lexicon = replace(lex)
+    expected = rules_oracle.run_rules(tokens, lexicon)
+    calls: list[str] = []
+
+    def raises_once(window, lex, fused):
+        calls.append(window.word)
+        if len(calls) == 10:
+            raise _Read
+        return rule_amq(window, lex, fused)
+
+    monkeypatch.setitem(_RULES, "R-AMQ", _Rule(raises_once))
+    with pytest.raises(_Read):
+        run_rules(tokens, lexicon)
+    assert not any(w in memo for memo in lexicon._rule_memo.values() for w in words)
+    assert run_rules(tokens, lexicon) == expected
+    assert len(calls) == 10 + len(words)
+
+
 def test_rules_run_once_per_distinct_word(monkeypatch):
     """However often a word recurs, its rules run once per memo, clean or
     not: in ``run_rules`` and in the fix loop's re-lint of the words next
@@ -489,7 +539,7 @@ def test_each_word_takes_its_skeleton_once(monkeypatch):
     letters = "بتجدرسفكلمنه"
     words = [f"ك{a}{b}ا" for a in letters for b in letters]
     lexicon = default_lexicon()
-    assert all(_word_gate(w, w, lexicon) for w in words)
+    assert all(rules_oracle.word_gate(w, w, lexicon) for w in words)
     calls: list[str] = []
 
     def counted(text):
@@ -499,7 +549,8 @@ def test_each_word_takes_its_skeleton_once(monkeypatch):
     monkeypatch.setattr(nota.rules, "skeleton", counted)
     monkeypatch.setattr(nota.lexicon, "skeleton", counted)
     normalize(" ".join(words), lexicon, mode=Mode.CHECK)
-    assert sorted(calls) == sorted(words)
+    # The misses of one call take their skeletons in one call, joined.
+    assert sorted(w for text in calls for w in text.split("\n")) == sorted(words)
 
 
 def test_rule_memo_follows_lexicon_and_config(lex):
@@ -605,6 +656,7 @@ ODD_WORDS = [
     "اِ",          # Alef and a mark, no Lam
     "اًلٍا",       # non-NOTA marks on the article
     "ِا",          # Kasra before Alef with no base
+    "سالَم",       # a marked ال inside a word: no article
     "ما",
     "وش",
     "موش",
@@ -805,7 +857,7 @@ def _assert_rules_find_nothing_where_the_gate_fails(texts, lexicon, fused_maps) 
     closed = 0
     for text in texts:
         for word in tokenize(text):
-            if word.kind is not TokenKind.WORD or _word_gate(word.text, skeleton(word.text), lexicon):
+            if word.kind is not TokenKind.WORD or rules_oracle.word_gate(word.text, skeleton(word.text), lexicon):
                 continue
             closed += 1
             window = RuleWindow(word.text, skeleton(word.text))
@@ -857,6 +909,58 @@ def test_word_gate_on_hostile_docs(name):
 def test_word_gate_on_wide_text(wide, name, fused):
     texts = [wide, canonicalize(wide).text]
     _assert_rules_find_nothing_where_the_gate_fails(texts, GATE_LEXICONS[name], [fused])
+
+
+# --- the gates of a batch of memo misses, against their oracles ---------------
+
+# A lexicon with thousands of known words of many lengths, so that a batch
+# takes many suffix passes.
+_MANY_KNOWN = replace(
+    _DEFAULT,
+    known_words=frozenset(
+        random_word(random.Random(23), 1, 16, with_marks=False) for _ in range(4000)
+    ),
+)
+BATCH_LEXICONS = {**GATE_LEXICONS, "many known": _MANY_KNOWN}
+CONTEXT_RULES = [rule for rule in _RULES.values() if rule.gate]
+
+
+def _assert_batch_gates_match_their_oracles(words, lexicon) -> None:
+    """One batch of the misses ``words`` sends exactly the words that pass
+    the word gate's oracle to the word rules, and exactly those whose
+    skeleton passes a context rule's gate to that rule."""
+    sent: list[str] = []
+
+    def recorded(window, lex, fused):
+        sent.append(window.word)
+        return []
+
+    words = list(dict.fromkeys(words))
+    batch = _RuleSet(lexicon, [_Rule(recorded), *CONTEXT_RULES], {})._lint_misses(words)
+    assert sorted(sent) == sorted(w for w in words if rules_oracle.word_gate(w, skeleton(w), lexicon))
+    for rule in CONTEXT_RULES:
+        gated = {w for w, entry in batch.items() if entry and rule in entry[1]}
+        assert gated == {w for w in words if rule.gate(skeleton(w))}, rule
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=wide_text, name=st.sampled_from(sorted(BATCH_LEXICONS)))
+def test_batch_gates_match_their_oracles(seed, wide, name):
+    lexicon = BATCH_LEXICONS[name]
+    rng = random.Random(seed)
+    texts = [random_text(rng, lexicon_word_pool(lexicon)), _bait(rng, lexicon), wide]
+    texts.append(canonicalize(wide).text)
+    _assert_batch_gates_match_their_oracles(
+        [w for text in texts for w in split_words(text)[1::2]], lexicon
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_LEXICONS))
+def test_batch_gates_on_hostile_docs(name):
+    lexicon = BATCH_LEXICONS[name]
+    rng = random.Random(name)
+    baits = [_bait(rng, lexicon) for _ in range(200)]
+    _assert_batch_gates_match_their_oracles([*_hostile_words(), *baits, *ODD_WORDS], lexicon)
 
 
 # --- the offset-0 contract that the one shift of lint_words' callers relies on
