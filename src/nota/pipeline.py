@@ -7,28 +7,30 @@ fixpoint of the enabled rules.  Diagnostics always carry spans into the
 original input; the applied rewrites are recorded in a fix trace.  The
 first pass's findings, sorted by start, are mapped onto the input in one
 sweep over the runs canonicalization rewrote; a finding whose span does
-not move is reported as the same object.
+not move is reported as the same object, one that moves is rebuilt by
+``rules._diagnostic``.
 
 Only the first pass lints the whole text: ``run_rules`` looks every word
 of the text's ``split_words`` parts up in the rule memo.  No path of the
 lint core builds a ``Token``: a rule gets the texts of its word and of
 the words next to it, and finds its spans at offset 0 in its word.
 Every finding lies inside one word, so findings of two words never
-overlap, and the greedy choice over a pass's findings runs
-apart on each word, and within a word only on clusters of findings that
-overlap.  A pass rewrites words and nothing between them, and a rule
-reads at most its word and the word next to it, across spaces, on either
-side; so a pass can change only the windows of the words it made, those
-that a fix's new span touches (an R-SEP split gives two, a deleted lone
-mark none), and of the word on either side of each rewritten one.  The
-loop re-lints those, each once per pass, with every enabled rule, through
-the same ``_RuleSet.lint_words`` as the first pass (Wagner & Graham,
-"Efficient and Flexible Incremental Parsing", TOPLAS 1998).
-That suffices because the choice is maximal: each fixable finding of a
-pass overlaps a chosen fix, so a word the pass did not rewrite, in a
-window that did not change, holds no fixable finding.  A pass's pending
-fixes are its ``FixEvent``s, one per fixable finding, and the fix trace
-keeps those chosen: after the first pass no ``Diagnostic`` is built.
+overlap, and the greedy choice over a pass's findings runs apart on each
+word, and within a word only on clusters of findings that overlap.  A
+pass rewrites words and nothing between them, and a rule reads at most
+its word and the word next to it, across spaces, on either side; so a
+pass can change only the windows of the words it made, those that a
+fix's new span touches (an R-SEP split gives two, a deleted lone mark
+none), and of the word on either side of each rewritten one.  The loop
+re-lints those, each once per pass, with every enabled rule, through the
+same ``_RuleSet.lint_words`` as the first pass (Wagner & Graham,
+"Efficient and Flexible Incremental Parsing", TOPLAS 1998).  That
+suffices because the choice is maximal: each fixable finding of a pass
+overlaps a chosen fix, so a word the pass did not rewrite, in a window
+that did not change, holds no fixable finding.  A pass's pending fixes
+are its ``FixEvent``s, one per fixable finding, built by ``_fix_event``,
+and the fix trace keeps those chosen: after the first pass no
+``Diagnostic`` is built.
 
 A pass applies its fixes in one join of the text's slices and their
 replacements, splits the new text with ``split_words``, and finds the
@@ -38,14 +40,14 @@ words to re-lint by bisecting the new parts' ends at each fix's new span.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, auto
 from itertools import accumulate
 from operator import attrgetter
 
 from .config import Config, ConfigError, DEFAULT_CONFIG
 from .lexicon import Lexicon
-from .rules import Diagnostic, RULE_PRIORITY, Severity, _RuleSet, run_rules
+from .rules import Diagnostic, RULE_PRIORITY, Severity, _RuleSet, _diagnostic, run_rules
 from .script import Canonical, canonicalize
 from .tokenize import Tokens, split_words, tokenize
 
@@ -59,13 +61,29 @@ class PassCapExceededError(RuntimeError):
     """Fixes kept applying past the pass cap: a rule interaction bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixEvent:
     rule: str
     pass_index: int
     start: int          # span into that pass's text, not the original
     end: int
     replacement: str
+
+
+_set_rule, _set_pass_index, _set_start, _set_end, _set_replacement = (
+    getattr(FixEvent, f.name).__set__ for f in fields(FixEvent)
+)
+
+
+def _fix_event(rule: str, pass_index: int, start: int, end: int, replacement: str) -> FixEvent:
+    """``FixEvent(...)`` past the frozen ``__init__``, as ``rules._diagnostic``."""
+    f = object.__new__(FixEvent)
+    _set_rule(f, rule)
+    _set_pass_index(f, pass_index)
+    _set_start(f, start)
+    _set_end(f, end)
+    _set_replacement(f, replacement)
+    return f
 
 
 @dataclass(frozen=True)
@@ -86,10 +104,6 @@ def validate_setup(lex: Lexicon, config: Config) -> None:
         raise ConfigError("R-SEP is enabled but the preposition list is empty")
 
 
-def _fixable(diag: Diagnostic) -> bool:
-    return diag.replacement is not None and diag.severity in (Severity.ERROR, Severity.WARNING)
-
-
 def _select_nonoverlapping(pending: list[FixEvent]) -> list[FixEvent]:
     """Greedy pick by rule priority then position; overlaps wait a pass.
     The chosen fixes come back by start.  It runs once per pass, over all
@@ -108,7 +122,7 @@ def _select_nonoverlapping(pending: list[FixEvent]) -> list[FixEvent]:
             chosen += cluster if len(cluster) < 2 else _greedy(cluster)
             cluster.clear()
         cluster.append(d)
-        reach = max(reach, d.end)
+        reach = d.end if d.end > reach else reach
     chosen += cluster if len(cluster) < 2 else _greedy(cluster)
     return chosen
 
@@ -169,7 +183,7 @@ def _to_original(canon: Canonical, found: list[Diagnostic]) -> tuple[Diagnostic,
                 start += run.delta
                 end += run.delta
             if start != d.start or end != d.end:
-                d = Diagnostic(d.rule, start, end, d.severity, d.message, d.replacement)
+                d = _diagnostic(d.rule, start, end, d.severity, d.message, d.replacement)
         out.append(d)
     return tuple(out)
 
@@ -195,8 +209,9 @@ def normalize(
     fixed = canon.text
     linted = [(0, first_pass)]  # (offset, findings) pairs; the first pass's are placed
     while pending := [
-        FixEvent(d.rule, passes, d.start + base, d.end + base, d.replacement)
-        for base, found in linted for d in found if _fixable(d)
+        _fix_event(d.rule, passes, d.start + base, d.end + base, d.replacement)
+        for base, found in linted for d in found
+        if d.replacement is not None and d.severity is not Severity.INFO
     ]:
         if passes > config.max_passes:
             raise PassCapExceededError(
@@ -233,6 +248,7 @@ def _rewrite(
     parts = split_words(fixed)
     ends = list(accumulate(map(len, parts)))
     jobs: list[int] = []
+    last = len(parts) - 1  # a gap: no word index reaches it
     shift = 0  # how far the fixes so far moved the text after them
     for d in chosen:
         lo = bisect_left(ends, d.start + shift)  # the first part that ends at or past the span
@@ -240,5 +256,5 @@ def _rewrite(
         hi = bisect_right(ends, d.end + shift)  # the first part that ends past it
         # The words from the one before part lo to the one after part hi:
         # words sit at the odd indices, and the last part is a gap.
-        jobs += range(max(lo - 2, 0) | 1, min(hi + 3, len(parts) - 1), 2)
+        jobs += range(lo - 2 | 1 if lo > 1 else 1, hi + 3 if hi + 3 < last else last, 2)
     return fixed, parts, ends, list(dict.fromkeys(jobs)), chosen

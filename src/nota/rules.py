@@ -7,9 +7,11 @@ re-running a rule on its own replacement yields nothing. Every finding
 is a non-empty span at offset 0 in its word, so it holds no whitespace.
 ``_RuleSet.lint_words`` yields a word's findings with the word's offset,
 and each caller moves them there in its own record: ``run_rules`` a
-``Diagnostic``, the fix loop a ``FixEvent``.  The map of findings back
-to the input in ``nota.pipeline`` and ``corpus.file_stats`` rely on each
-finding lying inside one word.
+``Diagnostic``, the fix loop a ``FixEvent``.  Both are frozen, slotted
+dataclasses, built there by ``_diagnostic`` and ``pipeline._fix_event``
+past the frozen ``__init__``; rule bodies, run on memo misses only, use
+the class.  The map of findings back to the input in ``nota.pipeline``
+and ``corpus.file_stats`` rely on each finding lying inside one word.
 
 Six rules are word-local: R-VOW, R-CONS, R-ART, R-AMQ, R-IMP and R-SEP
 read only the window's word, never its neighbours. R-FUT reads the next
@@ -47,7 +49,7 @@ pronoun rule flags a genuinely ambiguous reading and is never applied).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, auto
 from functools import partial
 from itertools import compress
@@ -85,7 +87,7 @@ class Severity(Enum):
     INFO = auto()     # suggestion only, never applied
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     rule: str
     start: int
@@ -93,6 +95,24 @@ class Diagnostic:
     severity: Severity
     message: str
     replacement: str | None = None
+
+
+_set_rule, _set_start, _set_end, _set_severity, _set_message, _set_replacement = (
+    getattr(Diagnostic, f.name).__set__ for f in fields(Diagnostic)
+)
+
+
+def _diagnostic(rule: str, start: int, end: int, severity: Severity, message: str,
+                replacement: str | None) -> Diagnostic:
+    """``Diagnostic(...)`` past the frozen ``__init__``: each slot set by its descriptor."""
+    d = object.__new__(Diagnostic)
+    _set_rule(d, rule)
+    _set_start(d, start)
+    _set_end(d, end)
+    _set_severity(d, severity)
+    _set_message(d, message)
+    _set_replacement(d, replacement)
+    return d
 
 
 class RuleWindow(NamedTuple):
@@ -540,7 +560,7 @@ def run_rules(
     parts = tokens.parts
     rules = _RuleSet.of(lex, enabled, fused_prepositions)
     out = [
-        Diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
+        _diagnostic(d.rule, d.start + base, d.end + base, d.severity, d.message, d.replacement)
         for base, found in rules.lint_words(parts, tokens.ends, range(1, len(parts), 2))
         for d in found
     ]

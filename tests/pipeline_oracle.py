@@ -20,15 +20,18 @@ from nota.pipeline import (
     Mode,
     PassCapExceededError,
     RunResult,
-    _fixable,
     _lint,
     validate_setup,
 )
-from nota.rules import Diagnostic, run_rules
+from nota.rules import Diagnostic, Severity, run_rules
 from nota.tokenize import tokenize
 
 from rules_oracle import select_nonoverlapping
 from script_oracle import to_original
+
+
+def _fixable(diag: Diagnostic) -> bool:
+    return diag.replacement is not None and diag.severity in (Severity.ERROR, Severity.WARNING)
 
 
 def normalize(

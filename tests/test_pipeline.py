@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import time
 import tracemalloc
-from dataclasses import replace
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 from operator import attrgetter
 
 import pytest
@@ -442,22 +445,30 @@ def test_fix_passes_build_no_diagnostic(monkeypatch, lex):
     the pass that applies it, and a chosen one goes into the fix trace as
     it is; no finding of a later pass becomes a ``Diagnostic``.  Pass 1
     re-lints the first line's زززا, the word after a fix, and gets back
-    its Info R-AMQ finding from the memo, which CHECK warmed."""
+    its Info R-AMQ finding from the memo, which CHECK warmed.  A
+    ``Diagnostic`` is built either by the class or by the hot paths'
+    constructor ``_diagnostic``; both are counted."""
     text = "اَلدار زززا\nالدار زززا\n"
     normalize(text, lex, mode=Mode.CHECK)
     built = [0]
     received: list[list] = []
-    init, rewrite = Diagnostic.__init__, nota.pipeline._rewrite
+    init, construct, rewrite = Diagnostic.__init__, nota.rules._diagnostic, nota.pipeline._rewrite
 
     def counting(self, *args, **kwargs):
         built[0] += 1
         init(self, *args, **kwargs)
+
+    def constructing(*args):
+        built[0] += 1
+        return construct(*args)
 
     def recording(text, pending):
         received.append(list(pending))
         return rewrite(text, pending)
 
     monkeypatch.setattr(Diagnostic, "__init__", counting)
+    for module in (nota.rules, nota.pipeline):
+        monkeypatch.setattr(module, "_diagnostic", constructing)
     monkeypatch.setattr(nota.pipeline, "_rewrite", recording)
     result = normalize(text, lex, mode=Mode.FIX)
     assert [d.rule for d in result.diagnostics] == ["R-ART", "R-AMQ", "R-AMQ"]
@@ -469,6 +480,49 @@ def test_fix_passes_build_no_diagnostic(monkeypatch, lex):
     )
     given = {id(f) for pending in received for f in pending}
     assert result.fixes and all(id(f) in given for f in result.fixes)
+
+
+# Each record class, the constructor the hot paths build it with, and the
+# arguments of one record.
+_records = st.one_of(
+    st.tuples(
+        st.just(Diagnostic),
+        st.just(nota.rules._diagnostic),
+        st.tuples(
+            st.text(), st.integers(), st.integers(), st.sampled_from(Severity), st.text(),
+            st.none() | st.text(),
+        ),
+    ),
+    st.tuples(
+        st.just(FixEvent),
+        st.just(nota.pipeline._fix_event),
+        st.tuples(st.text(), st.integers(min_value=0), st.integers(), st.integers(), st.text()),
+    ),
+)
+
+
+@given(_records)
+def test_hot_path_constructors_build_the_dataclass_record(case):
+    """``_diagnostic`` and ``_fix_event`` skip the frozen ``__init__``; the
+    record they build is the one the class builds, in every protocol that
+    a caller may use, and as frozen and slotted."""
+    cls, construct, args = case
+    made, own = construct(*args), cls(*args)
+    assert type(made) is cls
+    assert [getattr(made, f.name) for f in fields(cls)] == list(args)
+    assert made == own and hash(made) == hash(own) and repr(made) == repr(own)
+    assert type(replace(made)) is cls and replace(made) == own
+    assert replace(made, start=own.start + 1) == replace(own, start=own.start + 1) != own
+    for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        assert type(copied) is cls and copied == own
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(made, f.name, None)
+    assert made == own
+    # Slotted: README says that ``vars()`` and weak references fail on them.
+    assert not hasattr(made, "__dict__") and not hasattr(own, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(made)
 
 
 # R-PRON is the only rule that reads the previous word, and it is Info, so
